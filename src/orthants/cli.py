@@ -14,12 +14,10 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
-from .context import Context, EXACT, FLOAT
+from .context import Context, EXACT
 from .errors import OrthantsError
-from .matrix import Mat
-from .polyhedra import Polyhedron, recession_rays, vertices
+from .polyhedra import recession_rays, vertices
 from .frames import build, poly_rank, is_consistent
 from .hedgehogs import reduce as reduce_hedgehog
 from .planar import classify_2d
@@ -294,7 +292,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--backend", choices=("exact", "float"), default="exact")
     top.add_argument("--tol", type=float, default=1e-9, help="float-backend tolerance")
-    top.add_argument("--seed", type=int, default=0, help="seed for randomized helpers")
     top.add_argument("--dump-bang", action="store_true", help="attach the weighting system")
     top.add_argument("--affine", action="store_true", help="affine section mode for embed")
     sub = top.add_subparsers(dest="cmd", required=True)

@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .context import Scalar
 from .errors import InvalidWitness, NoKernel, TooManyFacets
 from .matrix import Mat, dot, kernel_basis, rank
 from .polyhedra import Polyhedron, require_nondegenerate
-from .frames import BangSystem, build, poly_rank
+from .frames import BangSystem, build
 from . import lp
 
 _FACET_GUARD = 12

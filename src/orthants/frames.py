@@ -36,15 +36,6 @@ class BangSystem:
     Q: Mat
     c: tuple
 
-    @property
-    def nvars(self) -> int:
-        return self.Q.cols
-
-    @property
-    def dim(self) -> int:
-        # recover n from the equation count n(n+1)/2
-        return max(q for _, q in self.pairs) + 1 if self.pairs else 0
-
 
 def coordinate_pairs(n: int) -> tuple:
     """(p,p) for p = 0..n-1, then (p,q) with p < q in lexicographic order."""
@@ -59,31 +50,6 @@ def system_from_normals(normals, ctx: Context) -> BangSystem:
     pairs = coordinate_pairs(n)
     rows = [[a[p] * a[q] for a in normals] for p, q in pairs]
     c = tuple(ctx.one() if p == q else ctx.zero() for p, q in pairs)
-    return BangSystem(pairs, Mat.from_rows(rows, ctx), c)
-
-
-def system_onto_span(normals, ctx: Context) -> BangSystem:
-    """Weighting system whose target is the projector onto span(normals).
-
-    For normals confined to a subspace, sum t_i a_i a_i^T can at best equal
-    the orthogonal projector onto that subspace; solving against the
-    projector decides orthantness of the lower-dimensional configuration
-    without ever leaving the ambient (rational) coordinates.
-    """
-    from .matrix import inverse
-
-    n = len(normals[0])
-    pairs = coordinate_pairs(n)
-    rows = [[a[p] * a[q] for a in normals] for p, q in pairs]
-    # projector needs an independent spanning subset of the normals
-    basis = []
-    for a in normals:
-        trial = Mat.from_rows(basis + [list(a)], ctx)
-        if rank(trial) == len(basis) + 1:
-            basis.append(list(a))
-    V = Mat.from_rows(basis, ctx)
-    proj = V.transpose().matmul(inverse(V.matmul(V.transpose()))).matmul(V)
-    c = tuple(proj.data[p][q] for p, q in pairs)
     return BangSystem(pairs, Mat.from_rows(rows, ctx), c)
 
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from .context import Context, EXACT, FLOAT
+from .context import Context, EXACT
 from .errors import ShapeMismatch
-from .matrix import Mat, dot, rank, solve_linear
+from .matrix import Mat, dot
 from .polyhedra import Polyhedron
 from .simplices import SimplexMetric, metric_coordinates
 

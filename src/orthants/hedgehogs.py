@@ -24,16 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Optional, Sequence
+from math import isqrt
+from typing import Optional
 
-from .context import Context, Scalar
+from .context import Context
 from .errors import (
     DegeneratePolyhedron,
     DimensionMismatch,
     TooManyNeedles,
 )
-from .matrix import Mat, dot, rank
+from .matrix import Mat, dot, primitive, rank
 from .polyhedra import Polyhedron, is_nondegenerate
 
 _NEEDLE_GUARD = 9
@@ -52,11 +52,6 @@ class Hedgehog:
     def count(self) -> int:
         return len(self.needles)
 
-    def gram(self) -> Mat:
-        return Mat.from_rows(
-            [[dot(u, v) for v in self.needles] for u in self.needles], self.ctx
-        )
-
 
 # ---------------------------------------------------------------------------
 # needle arithmetic
@@ -71,17 +66,6 @@ def _sign_fix(v, ctx):
     raise ValueError("zero needle")
 
 
-def _primitive_exact(v):
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(Fraction(x // g) for x in ints)
-
-
 def _unit_float(v, tol):
     norm = sum(float(x) * float(x) for x in v) ** 0.5
     return tuple(float(x) / norm for x in v)
@@ -91,7 +75,7 @@ def canonical_needle(v, ctx):
     """Sign-fixed primitive (exact) or unit (float) representative of a direction."""
     fixed = _sign_fix([ctx.coerce(x) for x in v], ctx)
     if ctx.is_exact:
-        return _primitive_exact(fixed)
+        return primitive(fixed)
     return _unit_float(fixed, ctx.tol)
 
 

@@ -17,14 +17,12 @@ nonnegative terms, positive unless yQ = 0, in which case y.c = 0 as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .context import Context, Scalar
 from .errors import OrthantsError, ShapeMismatch
-from .matrix import Mat, dot, solve_linear
+from .matrix import Mat, dot, primitive
 
 _MAX_PIVOTS = 200_000
 
@@ -103,29 +101,32 @@ class PositivityOutcome:
 
 
 class _Tableau:
-    def __init__(self, A_rows, b, ctx: Context):
+    """Dense tableau [A' | I | b'], where A', b' are A, b with each row
+    flipped so that b' >= 0, and the identity block holds the artificials.
+
+    Rows are never dropped.  An artificial that phase 1 cannot drive out
+    stays basic at 0 on a row whose structural entries are all zero; no
+    later pivot touches that row, so the basis B stays square and
+    nonsingular.  The identity block therefore always holds B^-1, and the
+    dual y = c_B B^-1 is read off the z-line on the artificial columns
+    instead of by a second elimination.
+    """
+
+    def __init__(self, A_rows, b, n, ctx: Context):
         self.ctx = ctx
         self.m = len(A_rows)
-        self.n = len(A_rows[0]) if self.m else (len(b) and 0)
+        self.n = n
         self.flip = []
-        rows = []
+        self.T = []
         for i in range(self.m):
+            unit = [ctx.one() if k == i else ctx.zero() for k in range(self.m)]
             if ctx.sign(b[i]) < 0:
-                rows.append([-x for x in A_rows[i]] + [-b[i]])
+                self.T.append([-x for x in A_rows[i]] + unit + [-b[i]])
                 self.flip.append(-1)
             else:
-                rows.append(list(A_rows[i]) + [b[i]])
+                self.T.append(list(A_rows[i]) + unit + [b[i]])
                 self.flip.append(1)
-        # pristine flipped copy for dual solves at termination
-        self.A0 = [r[:-1] for r in rows]
-        self.b0 = [r[-1] for r in rows]
-        # working tableau: [A' | I | b']
-        self.T = [
-            row[:-1] + [ctx.one() if k == i else ctx.zero() for k in range(self.m)] + [row[-1]]
-            for i, row in enumerate(rows)
-        ]
-        self.basis = [self.n + i for i in range(self.m)]
-        self.row_ids = list(range(self.m))  # original row index per tableau row
+        self.basis = [n + i for i in range(self.m)]
 
     @property
     def width(self):
@@ -191,41 +192,24 @@ class _Tableau:
             self.pivot(leave, enter, z)
         raise OrthantsError("simplex pivot limit exceeded")
 
-    def basis_dual(self, costs):
-        """Solve A_B^T y = c_B for the current basis over the surviving rows."""
-        ctx = self.ctx
-        k = len(self.T)
-        if k == 0:
-            return []
-        cols = []
-        for bi in self.basis:
-            if bi < self.n:
-                cols.append([self.A0[rid][bi] for rid in self.row_ids])
-            else:
-                cols.append(
-                    [ctx.one() if rid == bi - self.n else ctx.zero() for rid in self.row_ids]
-                )
-        # rows of the transposed basis matrix are the basis columns
-        y = solve_linear(Mat.from_rows(cols, ctx), [costs[bi] for bi in self.basis])
-        if y is None:
-            raise OrthantsError("singular basis; this should be impossible")
-        return y
-
-    def expand_dual(self, y_surviving, total_rows):
-        """Undo row flips and re-insert zeros for dropped redundant rows."""
-        ctx = self.ctx
-        out = [ctx.zero()] * total_rows
-        for pos, rid in enumerate(self.row_ids):
-            out[rid] = y_surviving[pos] * self.flip[rid]
-        return out
+    def dual(self, costs, z):
+        """y = c_B B^-1 in the original row signs: on artificial column n+k
+        the z-line holds costs[n+k] - (c_B B^-1)_k."""
+        n = self.n
+        return [f * (costs[n + k] - z[n + k]) for k, f in enumerate(self.flip)]
 
 
 def simplex_standard(A_rows: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
                      c: Sequence[Scalar], ctx: Context):
-    """Maximize c.x over {x >= 0 : A x = b}; returns Optimal/Infeasible/Unbounded."""
+    """Maximize c.x over {x >= 0 : A x = b}; returns Optimal/Infeasible/Unbounded.
+
+    Certificates come from the final basis alone: an Optimal carries the
+    dual y with y.b = value and y.A_j >= c_j for every column j, and an
+    Infeasible carries the negated phase-1 dual r with r.A <= 0, r.b > 0.
+    """
     m = len(A_rows)
     n = len(c)
-    tab = _Tableau(A_rows, b, ctx)
+    tab = _Tableau(A_rows, b, n, ctx)
 
     if m:
         phase1 = [ctx.zero()] * n + [-ctx.one()] * m
@@ -233,26 +217,17 @@ def simplex_standard(A_rows: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
         if res[0] != "optimal":
             raise OrthantsError("phase-1 objective cannot be unbounded")
         z = res[1]
-        obj = -z[-1]
-        if ctx.sign(obj) < 0:
-            y = tab.basis_dual(phase1)
-            ray = tab.expand_dual([-v for v in y], m)
-            return Infeasible(tuple(ray))
-        # drive leftover artificials out of the basis, dropping redundant rows
-        drop = []
-        for i in range(len(tab.T)):
+        if ctx.sign(-z[-1]) < 0:
+            return Infeasible(tuple(-v for v in tab.dual(phase1, z)))
+        # drive leftover artificials out of the basis where a structural
+        # column allows it; the rest sit on redundant rows and stay basic
+        for i in range(m):
             if tab.basis[i] >= n:
                 enter = next(
                     (j for j in range(n) if ctx.sign(tab.T[i][j]) != 0), None
                 )
-                if enter is None:
-                    drop.append(i)
-                else:
+                if enter is not None:
                     tab.pivot(i, enter, z)
-        for i in sorted(drop, reverse=True):
-            del tab.T[i]
-            del tab.basis[i]
-            del tab.row_ids[i]
 
     phase2 = list(c) + [ctx.zero()] * m
     res = tab.bland(phase2, n)
@@ -269,11 +244,9 @@ def simplex_standard(A_rows: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
     for i, bi in enumerate(tab.basis):
         if bi < n:
             x[bi] = tab.T[i][-1]
-    value = -z[-1]
-    y = tab.expand_dual(tab.basis_dual(phase2), m) if m else []
     if ctx.is_exact:
         _check_exact(A_rows, b, x)
-    return Optimal(tuple(x), value, tuple(y))
+    return Optimal(tuple(x), -z[-1], tuple(tab.dual(phase2, z)))
 
 
 def _check_exact(A_rows, b, x):
@@ -351,9 +324,9 @@ def decide_positive(system) -> PositivityOutcome:
     if isinstance(res, Unbounded):
         raise OrthantsError("auxiliary program is bounded by construction")
     if isinstance(res, Infeasible):
-        y = _normalize_certificate([-v for v in res.dual_ray], ctx)
+        y = [-v for v in res.dual_ray]
         return PositivityOutcome(
-            Verdict.INCONSISTENT, ctx.backend, certificate_y=tuple(y)
+            Verdict.INCONSISTENT, ctx.backend, certificate_y=_certificate(y, ctx)
         )
     eps = ctx.one() + res.value
     s = ctx.sign(eps)
@@ -362,12 +335,11 @@ def decide_positive(system) -> PositivityOutcome:
         return PositivityOutcome(
             Verdict.POSITIVE, ctx.backend, witness_t=tuple(t), eps_star=eps
         )
-    y = _normalize_certificate(list(res.dual), ctx)
     marginal = (not ctx.is_exact) and s == 0
     return PositivityOutcome(
         Verdict.NOT_POSITIVE,
         ctx.backend,
-        certificate_y=tuple(y),
+        certificate_y=_certificate(res.dual, ctx),
         numeric_marginal=marginal,
         eps_star=eps,
     )
@@ -396,17 +368,6 @@ def verify_outcome(system, outcome: PositivityOutcome) -> bool:
     return any(ctx.sign(v) > 0 for v in yq) or ctx.sign(yc) < 0
 
 
-def _normalize_certificate(vec, ctx: Context):
-    """Scale an exact certificate to an integer vector with content 1."""
-    if not ctx.is_exact or not vec:
-        return list(vec)
-    den = 1
-    for v in vec:
-        den = den * v.denominator // gcd(den, v.denominator)
-    ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return [Fraction(v) for v in ints]
+def _certificate(vec, ctx: Context) -> tuple:
+    """Exact certificates are scaled to integers with content 1."""
+    return primitive(vec) if ctx.is_exact else tuple(vec)

@@ -2,8 +2,8 @@
 
 Exact rank and determinants go through fraction-free (Bareiss) elimination
 on integer-rescaled rows, which keeps intermediate entries polynomial in
-the input size instead of letting denominators explode.  Solving and row
-reduction use straight Gaussian elimination with a fixed pivot rule so that
+the input size instead of letting denominators explode.  Solving and
+kernels share one Gauss-Jordan loop with a fixed pivot rule so that
 results are deterministic and reproducible.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .context import Context, Scalar, common_context
@@ -95,14 +95,23 @@ def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     return sum(a * b for a, b in zip(u, v))
 
 
+def primitive(vec: Sequence[Fraction]) -> tuple:
+    """The integer multiple of a rational vector with content 1.
+
+    Scales by the lcm of the denominators, then divides by the gcd of the
+    numerators; the zero vector stays zero.
+    """
+    den = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    g = gcd(*ints) or 1
+    return tuple(Fraction(x // g) for x in ints)
+
+
 def _integer_rows(M: Mat) -> list:
     """Rescale each row by the lcm of denominators; rank-preserving."""
     out = []
     for row in M.data:
-        denoms = [x.denominator for x in row]
-        scale = 1
-        for d in denoms:
-            scale = scale * d // gcd(scale, d)
+        scale = lcm(*(x.denominator for x in row))
         out.append([int(x * scale) for x in row])
     return out
 
@@ -163,21 +172,21 @@ def _rank_float(a: list, tol: float) -> int:
     return r
 
 
-def solve_linear(M: Mat, rhs: Sequence[Scalar]) -> Optional[list]:
-    """One solution of M x = rhs, or None when inconsistent.
+def _gauss_jordan(a: list, ctx: Context) -> list:
+    """Reduce the rows of ``a`` in place to echelon form, clearing each pivot
+    column above and below its pivot; rows are not normalised.
 
     Deterministic pivot rule: for each column left to right, take the first
-    unused row with a nonzero entry there.  Free variables are set to zero,
-    so the returned particular solution is reproducible.
+    unused row with a nonzero entry there and swap it into place.  Returns
+    the pivot columns; the k-th pivot sits in row k.
     """
-    if len(rhs) != M.rows:
-        raise ShapeMismatch("rhs length")
-    ctx = M.ctx
-    a = [list(row) + [ctx.coerce(rhs[i])] for i, row in enumerate(M.data)]
-    m, n = M.rows, M.cols
-    piv_of_col = {}
-    r = 0
+    m = len(a)
+    n = len(a[0]) if m else 0
+    pivots = []
     for col in range(n):
+        r = len(pivots)
+        if r == m:
+            break
         piv = next((i for i in range(r, m) if ctx.sign(a[i][col]) != 0), None)
         if piv is None:
             continue
@@ -188,44 +197,31 @@ def solve_linear(M: Mat, rhs: Sequence[Scalar]) -> Optional[list]:
                 continue
             f = a[i][col] / p
             if ctx.sign(f) != 0:
-                for j in range(col, n + 1):
+                for j in range(col, n):
                     a[i][j] -= f * a[r][j]
-        piv_of_col[col] = r
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if ctx.sign(a[i][n]) != 0:
-            return None
-    x = [ctx.zero()] * n
-    for col, i in piv_of_col.items():
-        x[col] = a[i][n] / a[i][col]
-    return x
-
-
-def rref(M: Mat) -> tuple:
-    """Reduced row-echelon form; returns (rows, pivot_columns)."""
-    ctx = M.ctx
-    a = [list(row) for row in M.data]
-    m, n = M.rows, M.cols
-    pivots = []
-    r = 0
-    for col in range(n):
-        if r >= m:
-            break
-        piv = next((i for i in range(r, m) if ctx.sign(a[i][col]) != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][col]
-        a[r] = [x / p for x in a[r]]
-        for i in range(m):
-            if i != r and ctx.sign(a[i][col]) != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(col)
-        r += 1
-    return a, pivots
+    return pivots
+
+
+def solve_linear(M: Mat, rhs: Sequence[Scalar]) -> Optional[list]:
+    """One solution of M x = rhs, or None when inconsistent.
+
+    Free variables are set to zero, so the returned particular solution is
+    reproducible.  The system is inconsistent exactly when the rhs column
+    of [M | rhs] takes a pivot.
+    """
+    if len(rhs) != M.rows:
+        raise ShapeMismatch("rhs length")
+    ctx = M.ctx
+    a = [list(row) + [ctx.coerce(rhs[i])] for i, row in enumerate(M.data)]
+    n = M.cols
+    pivots = _gauss_jordan(a, ctx)
+    if pivots and pivots[-1] == n:
+        return None
+    x = [ctx.zero()] * n
+    for r, col in enumerate(pivots):
+        x[col] = a[r][n] / a[r][col]
+    return x
 
 
 def kernel_basis(M: Mat) -> list:
@@ -234,8 +230,9 @@ def kernel_basis(M: Mat) -> list:
     One basis vector per free column, ordered by free-column index; the
     vector has 1 in its free coordinate, so the basis is deterministic.
     """
-    a, pivots = rref(M)
     ctx = M.ctx
+    a = [list(row) for row in M.data]
+    pivots = _gauss_jordan(a, ctx)
     n = M.cols
     pivot_set = set(pivots)
     basis = []
@@ -245,7 +242,7 @@ def kernel_basis(M: Mat) -> list:
         v = [ctx.zero()] * n
         v[free] = ctx.one()
         for r, pc in enumerate(pivots):
-            v[pc] = -a[r][free]
+            v[pc] = -a[r][free] / a[r][pc]
         basis.append(v)
     return basis
 
@@ -277,9 +274,7 @@ def det(M: Mat) -> Scalar:
     scale = Fraction(1)
     a = []
     for row in M.data:
-        s = 1
-        for x in row:
-            s = s * x.denominator // gcd(s, x.denominator)
+        s = lcm(*(x.denominator for x in row))
         scale *= s
         a.append([int(x * s) for x in row])
     sign = 1

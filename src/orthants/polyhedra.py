@@ -15,8 +15,6 @@ to certify.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -28,7 +26,7 @@ from .errors import (
     EmptyPolyhedron,
     ShapeMismatch,
 )
-from .matrix import Mat, dot, kernel_basis, rank, solve_linear
+from .matrix import Mat, dot, kernel_basis, primitive, rank, solve_linear
 from . import lp
 
 _RAY_DIM_GUARD = 6
@@ -243,14 +241,7 @@ def _primitive(vec, ctx):
     if not ctx.is_exact:
         norm = sum(float(v) * float(v) for v in vec) ** 0.5
         return tuple(float(v) / norm for v in vec)
-    den = 1
-    for v in vec:
-        den = den * v.denominator // gcd(den, v.denominator)
-    ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return tuple(Fraction(v // g) for v in ints)
+    return primitive(vec)
 
 
 def recession_rays(P: Polyhedron) -> Cone:

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
-from .context import Context, Scalar
+from .context import Context
 from .errors import (
-    EmptyPolyhedron,
     InvalidWitness,
     RecessionNotStrictlyPositive,
     UnboundedPolyhedron,
@@ -57,13 +56,6 @@ class Embedding:
         return tuple(
             sqrt(float(self.t[i]))
             * float(dot(self.A_ext.row(i), x) - self.b_ext[i])
-            for i in range(self.target_dim)
-        )
-
-    def image_squared_distance(self, x, y) -> Scalar:
-        """Exact squared distance between the images of two points."""
-        return sum(
-            self.t[i] * dot(self.A_ext.row(i), [a - b for a, b in zip(x, y)]) ** 2
             for i in range(self.target_dim)
         )
 

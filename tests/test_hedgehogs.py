@@ -130,9 +130,11 @@ class TestEqual:
         assert not equal(a, b)
 
     def test_sign_pattern_consistency_matters(self):
-        # same |Gram| but one configuration has an obtuse pair: not equal
-        a = from_needles([(1, 0), (1, 1)], 2, EXACT)
-        b = from_needles([(1, 0), (-1, 1)], 2, EXACT)
+        # same |Gram| entries, but the sign products around the needle
+        # triangle differ in parity, so no relabeling or sign flip matches
+        # them (two needles can always be rotated onto each other)
+        a = from_needles([(1, 1, 0), (1, 0, 1), (0, 1, 1)], 3, EXACT)
+        b = from_needles([(1, 1, 0), (1, 0, 1), (0, 1, -1)], 3, EXACT)
         assert not equal(a, b)
 
     def test_equivalence_relation_spot_checks(self):

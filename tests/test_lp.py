@@ -158,6 +158,76 @@ class TestDecidePositive:
         assert out.verdict == Verdict.NOT_POSITIVE
         assert out.numeric_marginal  # eps* is exactly on the boundary
 
+    @pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
+    def test_rotated_cube_keeps_redundant_rows(self, ctx):
+        # a unit cube in a rational frame; its weighting system has
+        # redundant rows whose artificials stay basic after phase 1
+        normals = [
+            [3, 4, 0], [-3, -4, 0], [-16, 12, -15],
+            [12, -9, -20], [-12, 9, 20], [16, -12, 15],
+        ]
+        system = system_from_normals(
+            [[ctx.coerce(x) for x in row] for row in normals], ctx
+        )
+        out = decide_positive(system)
+        assert out.verdict == Verdict.POSITIVE
+        assert verify_outcome(system, out)
+
+
+def random_redundant_lp(rng):
+    """A standard-form LP whose rows include combinations of other rows.
+
+    The right-hand side comes from a point x0; with x0 >= 0 the LP is
+    feasible, with mixed signs it may not be.
+    """
+    n = rng.randint(2, 6)
+    base = [
+        [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        for _ in range(rng.randint(1, 4))
+    ]
+    rows = list(base)
+    for _ in range(rng.randint(1, 4)):
+        coeffs = [Fraction(rng.randint(-2, 2)) for _ in base]
+        rows.append([dot(coeffs, col) for col in zip(*base)])
+    rng.shuffle(rows)
+    lo = 0 if rng.random() < 0.7 else -2
+    x0 = [
+        Fraction(0) if rng.random() < 0.3 else Fraction(rng.randint(lo, 3))
+        for _ in range(n)
+    ]
+    b = [dot(row, x0) for row in rows]
+    c = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+    return rows, b, c
+
+
+class TestSimplexCertificates:
+    def test_certificates_hold_with_redundant_rows(self):
+        # dependent rows leave artificials basic after phase 1; this seed's
+        # stream includes LPs where they end up on rows other than their own
+        rng = random.Random(5)
+        seen = {Optimal: 0, Infeasible: 0, Unbounded: 0}
+        for _ in range(500):
+            rows, b, c = random_redundant_lp(rng)
+            res = simplex_standard(rows, b, c, EXACT)
+            seen[type(res)] += 1
+            columns = list(zip(*rows))
+            if isinstance(res, Optimal):
+                y = res.dual
+                assert [dot(row, res.x) for row in rows] == b
+                assert dot(c, res.x) == res.value
+                assert dot(y, b) == res.value
+                assert all(dot(y, col) >= cj for col, cj in zip(columns, c))
+            elif isinstance(res, Infeasible):
+                r = res.dual_ray
+                assert all(dot(r, col) <= 0 for col in columns)
+                assert dot(r, b) > 0
+            else:
+                d = res.primal_ray
+                assert all(v >= 0 for v in d)
+                assert all(dot(row, d) == 0 for row in rows)
+                assert dot(c, d) > 0
+        assert min(seen.values()) > 20  # every outcome is exercised
+
 
 def random_bang(rng, max_rows=4, max_cols=6):
     rows = rng.randint(1, max_rows)
