@@ -56,8 +56,6 @@ from .simplices import (
 from .decompose import (
     Decomposition,
     find_basic_decomposition,
-    is_basic_orthant,
-    peel_hyperplane,
     split_solution,
 )
 from .realize import (

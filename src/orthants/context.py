@@ -62,12 +62,14 @@ class Context:
 
     def parse(self, text: str) -> Scalar:
         """Parse a scalar string: 'p' or 'p/q' exactly, decimal notation for floats."""
+        if not isinstance(text, str):
+            raise ParseError(f"scalar must be a string, not {text!r}")
         text = text.strip()
         try:
             if self.is_exact:
                 return Fraction(text)
             return float(Fraction(text))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ParseError(f"bad scalar literal {text!r}: {exc}") from None
 
     def format(self, x: Scalar) -> str:

@@ -3,28 +3,28 @@
 The atoms of the theory are the basic orthant systems: those whose facet
 count equals the rank of their weighting system.  A hedgehog is orthant
 exactly when some of its basic orthant subhedgehogs jointly reach the full
-rank, so the decision reduces to a guarded subset search that doubles as
-an independent route to the LP verdict.
+rank, and one positive weighting is enough to find them.
 
-The forward direction of that reduction is constructive: any positive
-weighting t of a system with a nontrivial kernel lies on a line inside the
-solution plane, and the two points where that line leaves the closed
-positive orthant split the facets into two smaller orthant subsystems with
-disjoint zero sets.
+Any positive weighting t of a system with a nontrivial kernel lies on a
+line inside the solution plane, and the two points u and v where that line
+leaves the closed positive orthant split the facets into two smaller
+orthant subsystems with disjoint zero sets I and J.  Splitting again until
+every kernel is trivial ends in basic orthant leaves.  Since t lies
+strictly between u and v and is positive on every facet, every facet stays
+positive in u or in v, so the leaves under any node cover all of that
+node's facets, and the leaves under the root span the full system.  This
+is the basic-solution (Caratheodory) argument of linear programming.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .errors import InvalidWitness, NoKernel, TooManyFacets
-from .matrix import Mat, dot, kernel_basis, rank
-from .polyhedra import Polyhedron, require_nondegenerate
+from .errors import IncompleteDecomposition, InvalidWitness, NoKernel
+from .matrix import kernel_basis, rank
+from .polyhedra import Polyhedron
 from .frames import BangSystem, build
 from . import lp
-
-_FACET_GUARD = 12
 
 
 @dataclass(frozen=True)
@@ -36,58 +36,53 @@ class Decomposition:
     union_rank: int
 
 
-def is_basic_orthant(P: Polyhedron) -> bool:
-    """Facet count equals system rank, and a positive weighting exists."""
-    require_nondegenerate(P)
-    B = build(P)
-    if P.nfacets != rank(B.Q):
-        return False
-    return lp.decide_positive(B).is_positive
-
-
-def _column_subsystem(B: BangSystem, subset) -> BangSystem:
-    return BangSystem(B.pairs, B.Q.select_columns(list(subset)), B.c)
-
-
 def find_basic_decomposition(P: Polyhedron):
-    """Greedy certificate for orthantness by basic orthant subsets.
+    """Basic orthant subsets that jointly reach full rank, or None.
 
-    Subsets are scanned by increasing size and lexicographic order; a
-    subset qualifies when its column count equals its subsystem rank and
-    the subsystem admits a positive weighting.  Qualifying subsets are
-    accumulated while they raise the rank of the union, stopping at the
-    full system rank.  Exhausting the search without reaching full rank
-    proves no decomposition exists, which happens exactly when the system
-    is not orthant.
+    One LP decides the system; a Positive verdict's witness is then split
+    along the first kernel direction of each node's column subsystem (see
+    :func:`split_solution`) until the kernel is trivial.  Such a basic
+    leaf is kept when it raises the rank of the union, and the search stops
+    at the full system rank.  Column sets already visited are skipped: the
+    leaves under a node cover its columns whatever its witness, so one
+    visit suffices, and without the memo the leaves multiply (98,304 on
+    endgo n=5).  None means the LP found no positive weighting, which is
+    exactly when the system is not orthant.
     """
-    require_nondegenerate(P)
-    m, n = P.nfacets, P.dim
-    if m > _FACET_GUARD:
-        raise TooManyFacets(f"subset search is guarded to m <= {_FACET_GUARD}")
     B = build(P)
+    outcome = lp.decide_positive(B)
+    if not outcome.is_positive:
+        return None
+    ctx = B.Q.ctx
     full = rank(B.Q)
-    max_size = min(m, n * (n + 1) // 2)
     chosen, witnesses = [], []
-    union: set = set()
-    union_rank = 0
-    for size in range(n, max_size + 1):
-        for subset in combinations(range(m), size):
-            sub = _column_subsystem(B, subset)
-            if rank(sub.Q) != size:
-                continue
-            out = lp.decide_positive(sub)
-            if not out.is_positive:
-                continue
-            trial = sorted(union | set(subset))
-            trial_rank = rank(B.Q.select_columns(trial))
-            if trial_rank > union_rank:
-                chosen.append(tuple(subset))
-                witnesses.append(out.witness_t)
-                union = set(trial)
-                union_rank = trial_rank
-                if union_rank == full:
-                    return Decomposition(tuple(chosen), tuple(witnesses), union_rank)
-    return None
+    union, union_rank = set(), 0
+    seen = set()
+    stack = [(tuple(range(P.nfacets)), outcome.witness_t)]
+    while stack:
+        cols, t = stack.pop()
+        if cols in seen:
+            continue
+        seen.add(cols)
+        kernel = kernel_basis(B.Q.select_columns(cols))
+        if kernel:
+            u, v, I, J = _walk(ctx, t, kernel[0])
+            for w, zeros in ((v, J), (u, I)):
+                keep = [k for k in range(len(cols)) if k not in zeros]
+                stack.append((tuple(cols[k] for k in keep), tuple(w[k] for k in keep)))
+            continue
+        trial = union | set(cols)
+        trial_rank = rank(B.Q.select_columns(sorted(trial)))
+        if trial_rank > union_rank:
+            chosen.append(cols)
+            witnesses.append(t)
+            union, union_rank = trial, trial_rank
+            if union_rank == full:
+                return Decomposition(tuple(chosen), tuple(witnesses), union_rank)
+    raise IncompleteDecomposition(
+        f"basic leaves of the witness split reach rank {union_rank}, "
+        f"not the system rank {full}"
+    )
 
 
 def split_solution(B: BangSystem, t) -> tuple:
@@ -107,7 +102,11 @@ def split_solution(B: BangSystem, t) -> tuple:
     kernel = kernel_basis(B.Q)
     if not kernel:
         raise NoKernel("Q has full column rank; the weighting is unique")
-    d = kernel[0]
+    return _walk(ctx, t, kernel[0])
+
+
+def _walk(ctx, t, d) -> tuple:
+    """The points where t + lambda d leaves the closed orthant, and their zero sets."""
     ups = [i for i in range(len(t)) if ctx.sign(d[i]) < 0]
     downs = [i for i in range(len(t)) if ctx.sign(d[i]) > 0]
     if not ups or not downs:
@@ -119,69 +118,3 @@ def split_solution(B: BangSystem, t) -> tuple:
     I = frozenset(i for i in range(len(u)) if ctx.is_zero(u[i]))
     J = frozenset(i for i in range(len(v)) if ctx.is_zero(v[i]))
     return u, v, I, J
-
-
-def peel_hyperplane(P: Polyhedron):
-    """Detect one needle standing alone against a hyperplane of the rest.
-
-    When all facet normals except one lie in a hyperplane, the system is
-    orthant exactly when the odd needle is perpendicular to that
-    hyperplane and the lower-dimensional system of the others is orthant.
-    Returns (subsystem in hyperplane coordinates, perpendicularity flag),
-    or None when the pattern is absent.
-    """
-    require_nondegenerate(P)
-    m, n = P.nfacets, P.dim
-    ctx = P.ctx
-    odd = None
-    for j in range(m):
-        others = [P.A.row(i) for i in range(m) if i != j]
-        if rank(Mat.from_rows(others, ctx)) == n - 1:
-            odd = j
-            break
-    if odd is None:
-        return None
-    a_odd = P.A.row(odd)
-    coplanar = [P.A.row(i) for i in range(m) if i != odd]
-    offsets = [P.b[i] for i in range(m) if i != odd]
-    perpendicular = all(ctx.sign(dot(a_odd, v)) == 0 for v in coplanar)
-    sub = _express_in_span(coplanar, offsets, ctx)
-    return sub, perpendicular
-
-
-def _express_in_span(rows, offsets, ctx) -> Polyhedron:
-    """Isometric coordinates of vectors inside their own span.
-
-    Builds an orthogonal basis of the span; exact output needs the basis
-    norms to be rational squares, otherwise the result degrades to floats.
-    """
-    from .context import FLOAT
-    from .hedgehogs import _fraction_sqrt
-
-    basis = []
-    for v in rows:
-        trial = Mat.from_rows(basis + [list(v)], ctx)
-        if rank(trial) == len(basis) + 1:
-            basis.append(list(v))
-    gs = []
-    for v in basis:
-        w = list(v)
-        for g, gg in gs:
-            coef = dot(w, g) / gg
-            if ctx.sign(coef) != 0:
-                w = [a - coef * b for a, b in zip(w, g)]
-        gs.append((w, dot(w, w)))
-    out_ctx = ctx
-    if ctx.is_exact:
-        roots = [_fraction_sqrt(gg) for _, gg in gs]
-        if any(r is None for r in roots):
-            out_ctx = FLOAT
-            roots = [float(gg) ** 0.5 for _, gg in gs]
-            gs = [([float(x) for x in g], float(gg)) for g, gg in gs]
-            rows = [[float(x) for x in v] for v in rows]
-            offsets = [float(x) for x in offsets]
-    else:
-        roots = [float(gg) ** 0.5 for _, gg in gs]
-    qs = [[x / r for x in g] for (g, _), r in zip(gs, roots)]
-    coords = [[dot(v, q) for q in qs] for v in rows]
-    return Polyhedron.from_rows(coords, offsets, out_ctx)

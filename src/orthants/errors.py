@@ -49,8 +49,8 @@ class TooManyNeedles(OrthantsError):
     """Needle count exceeds the brute-force guard."""
 
 
-class TooManyFacets(OrthantsError):
-    """Facet count exceeds the subset-search guard."""
+class IncompleteDecomposition(OrthantsError):
+    """The basic leaves of a witness split fail to reach the system rank."""
 
 
 class NoKernel(OrthantsError):

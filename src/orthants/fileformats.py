@@ -64,7 +64,7 @@ def polyhedron_from_text(text: str, ctx: Context = None) -> Polyhedron:
         dim = int(doc["dim"])
         rows = [[ctx.parse(s) for s in row["a"]] for row in doc["rows"]]
         offs = [ctx.parse(row["b"]) for row in doc["rows"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed polyhedron file: {exc}") from None
     for row in rows:
         if len(row) != dim:
@@ -88,7 +88,7 @@ def metric_from_text(text: str, ctx: Context = None) -> SimplexMetric:
     try:
         n = int(doc["dim"])
         flat = [ctx.parse(s) for s in doc["d2"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed metric file: {exc}") from None
     k = n + 1
     if len(flat) != k * k:
@@ -106,7 +106,7 @@ def gram_from_text(text: str, ctx: Context = None) -> GramMatrix:
     try:
         m = int(doc["m"])
         flat = [ctx.parse(s) for s in doc["g"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed Gram file: {exc}") from None
     if len(flat) != m * m:
         raise ParseError(f"g must hold {m * m} entries row-major")
@@ -128,7 +128,7 @@ def factor_from_text(text: str, ctx: Context = None):
         r, c = int(doc["rows"]), int(doc["cols"])
         flat = [ctx.parse(s) for s in doc["b"]]
         scale = ctx.parse(doc.get("sq_scale", "1"))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed factor file: {exc}") from None
     if len(flat) != r * c:
         raise ParseError(f"b must hold {r * c} entries row-major")

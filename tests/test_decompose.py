@@ -1,0 +1,130 @@
+"""Decomposition into basic orthant subsystems, checked against tests/oracles.py."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from orthants import (
+    Polyhedron,
+    build,
+    decide_positive,
+    find_basic_decomposition,
+    generate_cross_polytope,
+    generate_cube,
+    generate_max_rank_orthant,
+    split_solution,
+)
+from orthants.context import EXACT, FLOAT
+from orthants.errors import InvalidWitness, NoKernel
+from orthants.matrix import rank
+from oracles import rref_rank, strictly_positive_solvable
+
+FAMILIES = {
+    "cube": generate_cube,
+    "cross": generate_cross_polytope,
+    "endgo": generate_max_rank_orthant,
+}
+
+
+def q_rows(P):
+    """The weighting matrix Q of P as plain Fractions."""
+    return [[Fraction(x) for x in row] for row in build(P).Q.data]
+
+
+def columns(rows, subset):
+    return [[row[j] for j in subset] for row in rows]
+
+
+def random_hedgehog(rng, n, m):
+    """m random small integer normals in R^n of full column rank, or None."""
+    normals = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+    if any(all(x == 0 for x in a) for a in normals):
+        return None
+    if rref_rank(normals) < n:
+        return None
+    return Polyhedron.from_rows(normals, [-1] * m, EXACT)
+
+
+def check_decomposition(P, dec, exact):
+    """Every subset basic with a positive witness; the union reaches rank Q."""
+    Q = q_rows(P)
+    c = [Fraction(x) for x in build(P).c]
+    union = set()
+    for subset, w in zip(dec.subsets, dec.witnesses):
+        sub_Q = columns(Q, subset)
+        assert rref_rank(sub_Q) == len(subset)
+        assert all(x > 0 for x in w)
+        for row, rhs in zip(sub_Q, c):
+            residual = sum(q * Fraction(x) for q, x in zip(row, w)) - rhs
+            assert residual == 0 if exact else abs(residual) <= 1e-9
+        union.update(subset)
+    assert dec.union_rank == rref_rank(columns(Q, sorted(union))) == rref_rank(Q)
+
+
+class TestFamilies:
+    @pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    def test_basic_subsets_reach_full_rank(self, kind, n, ctx):
+        P = FAMILIES[kind](n, ctx)
+        dec = find_basic_decomposition(P)
+        assert dec is not None
+        check_decomposition(FAMILIES[kind](n, EXACT), dec, ctx.is_exact)
+
+
+class TestRandomHedgehogs:
+    def test_verdict_matches_fourier_motzkin(self):
+        rng = random.Random(20140722)
+        verdicts = {True: 0, False: 0}
+        while sum(verdicts.values()) < 150:
+            n = rng.randint(2, 4)
+            m = rng.randint(n, 9)
+            P = random_hedgehog(rng, n, m)
+            if P is None:
+                continue
+            B = build(P)
+            orthant = strictly_positive_solvable(q_rows(P), list(B.c))
+            dec = find_basic_decomposition(P)
+            assert (dec is not None) == orthant
+            if orthant:
+                check_decomposition(P, dec, True)
+            verdicts[orthant] += 1
+        assert verdicts[True] >= 10 and verdicts[False] >= 10
+
+
+class TestSplitSolution:
+    def test_walls_of_positive_weightings(self):
+        rng = random.Random(7)
+        split = 0
+        while split < 25:
+            n = rng.randint(2, 4)
+            P = random_hedgehog(rng, n, rng.randint(n + 1, 9))
+            if P is None:
+                continue
+            B = build(P)
+            outcome = decide_positive(B)
+            if not outcome.is_positive or rank(B.Q) == P.nfacets:
+                continue
+            t = outcome.witness_t
+            u, v, I, J = split_solution(B, t)
+            Q = q_rows(P)
+            c = list(B.c)
+            for point, zeros in ((u, I), (v, J)):
+                assert all(x >= 0 for x in point)
+                assert zeros == {j for j, x in enumerate(point) if x == 0}
+                for row, rhs in zip(Q, c):
+                    assert sum(q * x for q, x in zip(row, point)) == rhs
+            assert I and J and not I & J
+            split += 1
+
+    def test_basic_system_has_no_kernel(self):
+        P = Polyhedron.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0], EXACT)
+        B = build(P)
+        with pytest.raises(NoKernel):
+            split_solution(B, [Fraction(1)] * 3)
+
+    def test_rejects_a_non_solution(self):
+        B = build(generate_cube(2, EXACT))
+        with pytest.raises(InvalidWitness):
+            split_solution(B, [Fraction(1)] * 4)
