@@ -16,7 +16,7 @@ import sys
 import time
 
 from .context import Context, EXACT
-from .errors import OrthantsError
+from .errors import OrthantsError, ParseError
 from .polyhedra import recession_rays, vertices
 from .frames import build, poly_rank, is_consistent
 from .hedgehogs import reduce as reduce_hedgehog
@@ -245,16 +245,23 @@ def _cmd_realize(args) -> int:
     return 0
 
 
+def _size(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"generator size must be an integer, not {text!r}") from None
+
+
 def _cmd_gen(args) -> int:
     started = time.perf_counter()
     ctx = _ctx(args)
     kind = args.kind
     if kind == "cube":
-        P = generate_cube(int(args.params[0]), ctx)
+        P = generate_cube(_size(args.params[0]), ctx)
     elif kind == "cross":
-        P = generate_cross_polytope(int(args.params[0]), ctx)
+        P = generate_cross_polytope(_size(args.params[0]), ctx)
     elif kind == "endgo":
-        P = generate_max_rank_orthant(int(args.params[0]), ctx)
+        P = generate_max_rank_orthant(_size(args.params[0]), ctx)
     elif kind == "simplex":
         P = generate_simplex([ctx.parse(p) for p in args.params], ctx)
     else:

@@ -5,6 +5,10 @@ class OrthantsError(Exception):
     """Base class for every error raised by this package."""
 
 
+class BrokenInvariant(OrthantsError):
+    """A construction lost a property it guarantees; the message names it."""
+
+
 class ParseError(OrthantsError):
     """Malformed scalar string or input file."""
 

@@ -107,6 +107,17 @@ def primitive(vec: Sequence[Fraction]) -> tuple:
     return tuple(Fraction(x // g) for x in ints)
 
 
+def proportional(u: Sequence[Scalar], v: Sequence[Scalar], ctx: Context) -> Optional[Scalar]:
+    """The scalar lam with v = lam * u for a nonzero u, or None."""
+    k = next((i for i in range(len(u)) if ctx.sign(u[i]) != 0), None)
+    if k is None:
+        return None
+    lam = v[k] / u[k]
+    if all(ctx.is_zero(y - lam * x) for x, y in zip(u, v)):
+        return lam
+    return None
+
+
 def _integer_rows(M: Mat) -> list:
     """Rescale each row by the lcm of denominators; rank-preserving."""
     out = []

@@ -7,26 +7,29 @@ degenerate set can never sit inside a nonnegative orthant.
 
 Emptiness and full-dimensionality are detected with one interior-point
 linear program instead of any vertex enumeration; redundancy removal runs
-one LP per inequality.  Recession rays are found by enumerating the
-(n-1)-subsets of rows, which is entirely adequate at desk scale and easy
-to certify.
+one n-row dual LP per inequality.  Both LPs are solved as their duals,
+which have one row per coordinate and one nonnegative column per
+inequality: n rows instead of m, and no free variables to split.
+Recession rays are found by enumerating the (n-1)-subsets of rows, which
+is entirely adequate at desk scale and easy to certify.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .context import Context, Scalar
 from .errors import (
+    BrokenInvariant,
     DegeneratePolyhedron,
     DimensionTooLarge,
     EmptyOrLowerDimensional,
     EmptyPolyhedron,
     ShapeMismatch,
 )
-from .matrix import Mat, dot, kernel_basis, primitive, rank, solve_linear
+from .matrix import Mat, dot, kernel_basis, primitive, proportional, rank, solve_linear
 from . import lp
 
 _RAY_DIM_GUARD = 6
@@ -109,84 +112,61 @@ def require_nondegenerate(P: Polyhedron) -> None:
 def interior_point(P: Polyhedron):
     """A point with A x > b strictly, or None if none exists.
 
-    Solves max eps : A x >= b + eps 1, eps <= 1.  A positive optimum
-    certifies full-dimensional nonemptiness; otherwise the system is empty
-    or lies in a hyperplane.
+    The primal max eps : A x >= b + eps 1, eps <= 1 is solved as its dual
+    max b.y - z : A^T y = 0, 1.y + z = 1, (y, z) >= 0, which has n + 1 rows
+    and is always optimal (y = 0, z = 1 is feasible and y lies in a
+    simplex).  Then eps = -value, and the point x is the dual of that LP
+    read off its final tableau: y.A_j >= c_j on the column of row j says
+    exactly a_j.x >= b_j + eps.  A positive eps certifies full-dimensional
+    nonemptiness; otherwise the system is empty or lies in a hyperplane.
     """
     ctx = P.ctx
     n, m = P.dim, P.nfacets
-    # variables: x (free), w >= 0 with eps = 1 - w, slacks s >= 0
-    rows = []
-    for i in range(m):
-        rows.append(
-            list(P.A.row(i))
-            + [ctx.one()]
-            + [-ctx.one() if k == i else ctx.zero() for k in range(m)]
-        )
-    prob = lp.LpProblem(
-        objective=tuple([ctx.zero()] * n + [-ctx.one()] + [ctx.zero()] * m),
-        eq_lhs=Mat.from_rows(rows, ctx),
-        eq_rhs=tuple(P.b[i] + ctx.one() for i in range(m)),
-        lower_bounds=tuple([None] * n + [ctx.zero()] * (m + 1)),
-    )
-    res = lp.solve(prob)
+    rows = [list(P.A.column(k)) + [ctx.zero()] for k in range(n)]
+    rows.append([ctx.one()] * (m + 1))
+    rhs = [ctx.zero()] * n + [ctx.one()]
+    res = lp.simplex_standard(rows, rhs, list(P.b) + [-ctx.one()], ctx)
     if not isinstance(res, lp.Optimal):
-        raise RuntimeError("interior LP is feasible and bounded by construction")
-    eps = ctx.one() + res.value
-    if ctx.sign(eps) <= 0:
+        raise BrokenInvariant("interior_point: the dual of max eps is always optimal")
+    if ctx.sign(res.value) >= 0:
         return None
-    return tuple(res.x[:n])
+    x = tuple(res.dual[:n])
+    if not all(ctx.sign(dot(P.A.row(i), x) - P.b[i]) > 0 for i in range(m)):
+        raise BrokenInvariant("interior_point: the dual point fails A x > b")
+    return x
 
 
 def _functional_min_rows(normals, offsets, f, ctx):
-    """Minimum of f.x over {A x >= b}; None when unbounded below."""
-    m = len(normals)
+    """Minimum of f.x over {A x >= b} through the dual LP, or None.
+
+    Solves max b.y : A^T y = f, y >= 0 (n rows, one column per row of A).
+    Optimal gives the exact minimum; Unbounded proves the system empty and
+    raises EmptyPolyhedron; Infeasible (None) means that the system is
+    empty or that f is unbounded below on it.
+    """
     n = len(f)
-    if m == 0:
-        if all(ctx.sign(v) == 0 for v in f):
-            return ctx.zero()
-        return None
-    rows = [
-        list(normals[i]) + [-ctx.one() if k == i else ctx.zero() for k in range(m)]
-        for i in range(m)
-    ]
-    prob = lp.LpProblem(
-        objective=tuple([-v for v in f] + [ctx.zero()] * m),
-        eq_lhs=Mat.from_rows(rows, ctx),
-        eq_rhs=tuple(offsets),
-        lower_bounds=tuple([None] * n + [ctx.zero()] * m),
-    )
-    res = lp.solve(prob)
-    if isinstance(res, lp.Infeasible):
-        raise EmptyPolyhedron("no point satisfies the system")
+    cols = [[normals[i][k] for i in range(len(normals))] for k in range(n)]
+    res = lp.simplex_standard(cols, f, offsets, ctx)
     if isinstance(res, lp.Unbounded):
+        raise EmptyPolyhedron("no point satisfies the system")
+    if isinstance(res, lp.Infeasible):
         return None
-    return -res.value
+    return res.value
 
 
 def functional_min(P: Polyhedron, f: Sequence[Scalar]):
-    """Exact minimum of f.x over P, or None when the functional is unbounded below."""
+    """Exact minimum of f.x over P, or None when the functional is unbounded below.
+
+    Raises EmptyPolyhedron when P is empty.  When the dual of the minimum
+    is infeasible, the dual for f = 0 tells the two cases apart: it is
+    unbounded exactly when P is empty.
+    """
     ctx = P.ctx
-    return _functional_min_rows(
-        [P.A.row(i) for i in range(P.nfacets)],
-        list(P.b),
-        [ctx.coerce(v) for v in f],
-        ctx,
-    )
-
-
-def _positive_proportional(u, v, ctx) -> Optional[Scalar]:
-    """Return lam > 0 with v = lam * u, or None."""
-    k = next((i for i in range(len(u)) if ctx.sign(u[i]) != 0), None)
-    if k is None or ctx.sign(v[k]) == 0:
-        return None
-    lam = v[k] / u[k]
-    if ctx.sign(lam) <= 0:
-        return None
-    for a, c in zip(u, v):
-        if not ctx.is_zero(c - lam * a):
-            return None
-    return lam
+    normals = [P.A.row(i) for i in range(P.nfacets)]
+    low = _functional_min_rows(normals, list(P.b), [ctx.coerce(v) for v in f], ctx)
+    if low is None:
+        _functional_min_rows(normals, list(P.b), [ctx.zero()] * P.dim, ctx)
+    return low
 
 
 def remove_redundant(P: Polyhedron) -> Polyhedron:
@@ -196,7 +176,8 @@ def remove_redundant(P: Polyhedron) -> Polyhedron:
     the per-row LP test never sees the classic twin-row blind spot (two
     copies of one inequality shadowing each other).  Then row i is kept
     exactly when minimizing its normal over the remaining rows dips below
-    b_i (or is unbounded).
+    b_i, or is unbounded (the dual LP is infeasible; the interior point
+    has already shown that the rows are not empty).
     """
     ctx = P.ctx
     if interior_point(P) is None:
@@ -208,8 +189,8 @@ def remove_redundant(P: Polyhedron) -> Polyhedron:
         row_i, b_i = P.A.row(i), P.b[i]
         merged = False
         for pos, (row_k, b_k, _) in enumerate(kept):
-            lam = _positive_proportional(row_k, row_i, ctx)
-            if lam is not None:
+            lam = proportional(row_k, row_i, ctx)
+            if lam is not None and ctx.sign(lam) > 0:
                 # same halfspace direction; keep the tighter offset
                 if ctx.lt(b_k, b_i / lam):
                     kept[pos] = (row_k, b_i / lam, kept[pos][2])

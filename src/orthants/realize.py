@@ -25,11 +25,12 @@ from math import sqrt
 
 from .context import Context
 from .errors import (
+    BrokenInvariant,
     InvalidWitness,
     RecessionNotStrictlyPositive,
     UnboundedPolyhedron,
 )
-from .matrix import Mat, dot
+from .matrix import Mat, dot, proportional
 from .polyhedra import Polyhedron, functional_min, recession_rays, require_nondegenerate
 from .frames import build, system_from_normals
 from .generators import generate_max_rank_orthant
@@ -116,23 +117,14 @@ def verify_embedding(E: Embedding, sample_points=()) -> bool:
 # padding with auxiliary halfspaces
 
 
-def _mod_sign_duplicate(u, v, ctx) -> bool:
-    """Proportionality of directions regardless of sign."""
-    k = next((i for i in range(len(u)) if ctx.sign(u[i]) != 0), None)
-    if k is None or ctx.sign(v[k]) == 0:
-        return False
-    lam = v[k] / u[k]
-    return all(ctx.is_zero(y - lam * x) for x, y in zip(u, v))
-
-
 def _pad_and_embed(P: Polyhedron, aux_normals) -> Embedding:
     ctx = P.ctx
     own = [P.A.row(i) for i in range(P.nfacets)]
     added = []
     for a in aux_normals:
-        if any(_mod_sign_duplicate(a, r, ctx) for r in own):
+        if any(proportional(a, r, ctx) is not None for r in own):
             continue
-        if any(_mod_sign_duplicate(a, r, ctx) for r in added):
+        if any(proportional(a, r, ctx) is not None for r in added):
             continue
         added.append(list(ctx.coerce(x) for x in a))
     offsets = []
@@ -148,7 +140,7 @@ def _pad_and_embed(P: Polyhedron, aux_normals) -> Embedding:
     system = system_from_normals(ext_rows, ctx)
     outcome = lp.decide_positive(system)
     if not outcome.is_positive:
-        raise RuntimeError("padded system lost positivity; construction is broken")
+        raise BrokenInvariant("realize: the padded system lost its positive weighting")
     return Embedding(
         P.dim, len(ext_rows), outcome.witness_t, Mat.from_rows(ext_rows, ctx), tuple(ext_b)
     )

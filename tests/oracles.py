@@ -2,9 +2,10 @@
 
 Everything here is deliberately self-contained (fractions + itertools
 only), so agreement with the library is a genuine two-route check: plain
-rational row reduction for ranks and solutions, and Gaussian substitution
-followed by strict Fourier-Motzkin elimination for the question "does
-Q t = c have a strictly positive solution".
+rational row reduction for ranks and solutions, and Fourier-Motzkin
+elimination for three questions: does Q t = c have a strictly positive
+solution (after Gaussian substitution), does A x > b have a solution, and
+what is the minimum of f.x over A x >= b.
 """
 
 from fractions import Fraction
@@ -63,35 +64,37 @@ def solve_any(rows, rhs):
     return x
 
 
-def _fm_eliminate(strict_rows, var):
-    """One Fourier-Motzkin step on strict inequalities coeffs.x + const > 0."""
-    zero, pos, neg = [], [], []
-    for coeffs, const in strict_rows:
-        c = coeffs[var]
-        if c == 0:
-            zero.append((coeffs, const))
-        elif c > 0:
-            pos.append((coeffs, const))
-        else:
-            neg.append((coeffs, const))
-    out = list(zero)
-    for pc, pconst in pos:
+def _fm_eliminate(rows, var, step):
+    """One Fourier-Motzkin step on rows (coeffs, const, origins), each read as
+    coeffs.x + const > 0 (or >= 0: the step is the same for both).
+
+    ``origins`` is the set of input rows that a row combines.  After
+    ``step`` eliminations, a combination of more than step + 1 input rows
+    is implied by the others (Chernikov's rule) and is dropped, which keeps
+    the row count polynomial without changing the solution set.
+    """
+    out, pos, neg = [], [], []
+    for row in rows:
+        c = row[0][var]
+        (out if c == 0 else pos if c > 0 else neg).append(row)
+    for pc, pconst, porig in pos:
         a = pc[var]
-        for nc, nconst in neg:
+        for nc, nconst, norig in neg:
+            origins = porig | norig
+            if len(origins) > step + 1:
+                continue
             b = -nc[var]
             coeffs = [b * x + a * y for x, y in zip(pc, nc)]
-            coeffs[var] = Fraction(0)
-            out.append((coeffs, b * pconst + a * nconst))
-    # light dedup after normalizing the scale
-    seen = set()
-    deduped = []
-    for coeffs, const in out:
-        lead = next((abs(x) for x in coeffs if x != 0), abs(const) or Fraction(1))
-        key = tuple(x / lead for x in coeffs) + (const / lead,)
-        if key not in seen:
-            seen.add(key)
-            deduped.append((coeffs, const))
-    return deduped
+            out.append((coeffs, b * pconst + a * nconst, origins))
+    return out
+
+
+def _eliminate(rows, nvars):
+    """Eliminate variables 0 .. nvars-1 from rows (coeffs, const)."""
+    rows = [(list(coeffs), const, frozenset([i])) for i, (coeffs, const) in enumerate(rows)]
+    for var in range(nvars):
+        rows = _fm_eliminate(rows, var, var + 1)
+    return rows
 
 
 def strictly_positive_solvable(q_rows, c):
@@ -140,9 +143,45 @@ def strictly_positive_solvable(q_rows, c):
             coeffs[pos_of_free[j]] = Fraction(1)
         strict_rows.append((coeffs, const))
 
-    for var in range(len(free_cols)):
-        strict_rows = _fm_eliminate(strict_rows, var)
-    return all(const > 0 for coeffs, const in strict_rows if all(x == 0 for x in coeffs))
+    return all(const > 0 for _, const, _ in _eliminate(strict_rows, len(free_cols)))
+
+
+def strictly_feasible(rows, offsets):
+    """Does A x > b hold for some x?  Strict Fourier-Motzkin on every variable."""
+    strict_rows = [
+        ([Fraction(x) for x in a], -Fraction(b)) for a, b in zip(rows, offsets)
+    ]
+    return all(const > 0 for _, const, _ in _eliminate(strict_rows, len(rows[0])))
+
+
+def functional_minimum(rows, offsets, f):
+    """Minimum of f.x over {x : A x >= b}: "empty", "unbounded" or a Fraction.
+
+    Non-strict Fourier-Motzkin projection of {A x >= b, z = f.x} onto z.
+    The variable z comes last and is never eliminated, so every row left
+    reads cz z + const >= 0: a lower bound, an upper bound, or a constant
+    that must be nonnegative.
+    """
+    n = len(f)
+    fz = [Fraction(x) for x in f]
+    lifted = [
+        ([Fraction(x) for x in a] + [Fraction(0)], -Fraction(b))
+        for a, b in zip(rows, offsets)
+    ]
+    lifted.append((fz + [Fraction(-1)], Fraction(0)))
+    lifted.append(([-x for x in fz] + [Fraction(1)], Fraction(0)))
+    lows, highs = [], []
+    for coeffs, const, _ in _eliminate(lifted, n):
+        cz = coeffs[n]
+        if cz == 0 and const < 0:
+            return "empty"
+        if cz > 0:
+            lows.append(-const / cz)
+        elif cz < 0:
+            highs.append(const / -cz)
+    if lows and highs and max(lows) > min(highs):
+        return "empty"
+    return max(lows) if lows else "unbounded"
 
 
 def squared_distance(u, v):

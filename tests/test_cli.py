@@ -39,8 +39,14 @@ def test_decompose_endgo4_beyond_twelve_needles():
             ["--backend", "float", "is-orthant", "-"],
             '{"dim": 2, "rows": [{"a": ["1e400", "0"], "b": "0"}, {"a": ["0", "1"], "b": "0"}]}',
         ),
+        (["gen", "cube", "x"], ""),
+        (["gen", "cross", "1.5"], ""),
+        (["gen", "endgo", ""], ""),
     ],
-    ids=["dim-not-an-integer", "numbers-for-scalars", "float-overflow"],
+    ids=[
+        "dim-not-an-integer", "numbers-for-scalars", "float-overflow",
+        "gen-cube-x", "gen-cross-1.5", "gen-endgo-empty",
+    ],
 )
 def test_malformed_input_exits_2_without_traceback(argv, doc):
     code, out, err = orthants(*argv, stdin=doc)
@@ -48,3 +54,4 @@ def test_malformed_input_exits_2_without_traceback(argv, doc):
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+

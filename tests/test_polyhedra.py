@@ -21,10 +21,12 @@ from orthants.context import EXACT, FLOAT
 from orthants.errors import (
     DimensionTooLarge,
     EmptyOrLowerDimensional,
+    EmptyPolyhedron,
     ShapeMismatch,
 )
 from orthants.matrix import dot
 from conftest import rand_frac
+from oracles import functional_minimum, strictly_feasible
 
 SQUARE = Polyhedron.from_rows(
     [[1, 0], [0, 1], [-1, 0], [0, -1]], [0, 0, -1, -1], EXACT
@@ -162,6 +164,121 @@ class TestFunctionalMin:
 
     def test_unbounded(self):
         assert functional_min(QUADRANT, [-1, 0]) is None
+
+    @pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
+    def test_empty_raises_even_when_the_dual_is_infeasible(self, ctx):
+        # max b.y : A^T y = f, y >= 0 is infeasible here, as it is for an
+        # unbounded f; only the f = 0 dual shows that P is empty
+        P = Polyhedron.from_rows(
+            [[-2, 3], [-2, -1], [-1, -2], [1, 2]], [-1, -2, -1, 2], ctx
+        )
+        with pytest.raises(EmptyPolyhedron):
+            functional_min(P, [-1, -3])
+        assert functional_min(
+            Polyhedron.from_rows([[1, 0], [0, 1]], [0, 0], ctx), [-1, 0]
+        ) is None
+
+
+def random_system(rng):
+    """n = 1..4 variables, 1..8 rows: slacks around a random point, some
+    negative (so some systems are empty), and some rows positive multiples
+    of earlier ones (so remove_redundant has directions to merge)."""
+    n, m = rng.randint(1, 4), rng.randint(1, 8)
+    p = [rand_frac(rng, -6, 6, 3) for _ in range(n)]
+    rows, offsets = [], []
+    while len(rows) < m:
+        if rows and rng.random() < 0.2:
+            a = [rng.choice((1, 2, Fraction(1, 2))) * x for x in rng.choice(rows)]
+        else:
+            a = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        if any(a):
+            rows.append(a)
+            offsets.append(dot(a, p) - rng.randint(-2, 3))
+    return rows, offsets
+
+
+def merged_rows(rows, offsets):
+    """Rows with one representative per direction, at its tightest offset,
+    in order of first appearance."""
+    out = []
+    for a, b in zip(rows, offsets):
+        for k, (u, c) in enumerate(out):
+            lam = next(y / x for x, y in zip(u, a) if x != 0)
+            if lam > 0 and all(y == lam * x for x, y in zip(u, a)):
+                out[k] = (u, max(c, b / lam))
+                break
+        else:
+            out.append((a, b))
+    return out
+
+
+SYSTEMS = 500
+
+
+class TestAgainstFourierMotzkin:
+    """Each LP route against the Fourier-Motzkin oracle on seeded systems."""
+
+    def test_functional_min(self):
+        rng = random.Random(2024)
+        outcomes = set()
+        for _ in range(SYSTEMS):
+            rows, offsets = random_system(rng)
+            f = [rng.randint(-3, 3) for _ in rows[0]]
+            expected = functional_minimum(rows, offsets, f)
+            outcomes.add(expected if isinstance(expected, str) else "value")
+            for ctx in (EXACT, FLOAT):
+                P = Polyhedron.from_rows(rows, offsets, ctx)
+                if expected == "empty":
+                    with pytest.raises(EmptyPolyhedron):
+                        functional_min(P, f)
+                    continue
+                got = functional_min(P, f)
+                if expected == "unbounded":
+                    assert got is None
+                elif ctx.is_exact:
+                    assert got == expected
+                else:
+                    assert abs(got - float(expected)) < 1e-6
+        assert outcomes == {"empty", "unbounded", "value"}
+
+    def test_remove_redundant(self):
+        rng = random.Random(2025)
+        reduced = 0
+        for _ in range(SYSTEMS):
+            rows, offsets = random_system(rng)
+            P = Polyhedron.from_rows(rows, offsets, EXACT)
+            if not strictly_feasible(rows, offsets):
+                with pytest.raises(EmptyOrLowerDimensional):
+                    remove_redundant(P)
+                continue
+            merged = merged_rows(rows, offsets)
+            expected = []
+            for j, (a, b) in enumerate(merged):
+                others = merged[:j] + merged[j + 1:]
+                low = functional_minimum(
+                    [u for u, _ in others], [c for _, c in others], a
+                )
+                assert low != "empty"
+                if low == "unbounded" or low < b:
+                    expected.append((tuple(a), b))
+            red = remove_redundant(P)
+            assert list(zip(red.A.data, red.b)) == expected
+            reduced += len(expected) < len(merged)
+        assert reduced > SYSTEMS // 10
+
+    def test_interior_point(self):
+        rng = random.Random(2026)
+        found = 0
+        for _ in range(SYSTEMS):
+            rows, offsets = random_system(rng)
+            x = interior_point(Polyhedron.from_rows(rows, offsets, EXACT))
+            if not strictly_feasible(rows, offsets):
+                assert x is None
+                continue
+            assert x is not None
+            assert all(dot(a, x) > b for a, b in zip(rows, offsets))
+            found += 1
+        assert 0 < found < SYSTEMS
 
 
 class TestGenerators:
