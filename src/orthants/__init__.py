@@ -15,6 +15,7 @@ from .matrix import Mat, rank, solve_linear, kernel_basis, det, inverse
 from .polyhedra import (
     Cone,
     Polyhedron,
+    boundedness,
     functional_min,
     interior_point,
     is_bounded,
@@ -62,6 +63,7 @@ from .realize import (
     Embedding,
     affine_embedding,
     build_embedding,
+    orthant_embedding,
     realize_polytope,
     realize_unbounded,
     verify_embedding,

@@ -17,18 +17,12 @@ import time
 
 from .context import Context, EXACT
 from .errors import OrthantsError, ParseError
-from .polyhedra import recession_rays, vertices
 from .frames import build, poly_rank, is_consistent
 from .hedgehogs import reduce as reduce_hedgehog
 from .planar import classify_2d
 from .simplices import SimplexClass, classify_simplex, embed_simplex
 from .decompose import find_basic_decomposition
-from .realize import (
-    affine_embedding,
-    build_embedding,
-    realize_polytope,
-    realize_unbounded,
-)
+from .realize import affine_embedding, orthant_embedding, realize_unbounded
 from .cones import is_doubly_nonnegative, verify_cp_decomposition
 from .generators import (
     generate_cross_polytope,
@@ -186,8 +180,8 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _embedding_doc(command, E, ctx, sample) -> dict:
-    doc = {
+def _embedding_doc(command, E, ctx) -> dict:
+    return {
         "command": command,
         "backend": ctx.backend,
         "source_dim": E.source_dim,
@@ -200,11 +194,6 @@ def _embedding_doc(command, E, ctx, sample) -> dict:
         ],
         "scale_factors": [_float15(float(v) ** 0.5) for v in E.t],
     }
-    if sample:
-        doc["mapped_vertices"] = [
-            [_float15(c) for c in E.map_point_float(v)] for v in sample
-        ]
-    return doc
 
 
 def _cmd_embed(args) -> int:
@@ -214,19 +203,12 @@ def _cmd_embed(args) -> int:
     if args.affine:
         E = affine_embedding(P)
     else:
-        system = build(P)
-        outcome = lp.decide_positive(system)
-        if not outcome.is_positive:
+        E = orthant_embedding(P)
+        if E is None:
             raise OrthantsError(
                 "polyhedron is not orthant; `realize` handles the general case"
             )
-        E = build_embedding(P, outcome.witness_t)
-    sample = vertices(P) if recession_rays(P).is_trivial else []
-    _emit(
-        _embedding_doc("embed", E, ctx, sample[:8]),
-        f"embed into dimension {E.target_dim}",
-        started,
-    )
+    _emit(_embedding_doc("embed", E, ctx), f"embed into dimension {E.target_dim}", started)
     return 0
 
 
@@ -234,22 +216,19 @@ def _cmd_realize(args) -> int:
     started = time.perf_counter()
     ctx = _ctx(args)
     P = ff.polyhedron_from_text(_read(args.file), ctx)
-    bounded = recession_rays(P).is_trivial
-    E = realize_polytope(P) if bounded else realize_unbounded(P)
-    sample = vertices(P)[:8] if bounded else []
-    _emit(
-        _embedding_doc("realize", E, ctx, sample),
-        f"realized in dimension {E.target_dim}",
-        started,
-    )
+    # realize_unbounded takes bounded inputs too, and decides boundedness once
+    E = realize_unbounded(P)
+    _emit(_embedding_doc("realize", E, ctx), f"realized in dimension {E.target_dim}", started)
     return 0
 
 
-def _size(text: str) -> int:
+def _size(params) -> int:
+    if len(params) != 1:
+        raise ParseError(f"generator takes exactly one size, not {len(params)} parameters")
     try:
-        return int(text)
+        return int(params[0])
     except ValueError:
-        raise ParseError(f"generator size must be an integer, not {text!r}") from None
+        raise ParseError(f"generator size must be an integer, not {params[0]!r}") from None
 
 
 def _cmd_gen(args) -> int:
@@ -257,11 +236,11 @@ def _cmd_gen(args) -> int:
     ctx = _ctx(args)
     kind = args.kind
     if kind == "cube":
-        P = generate_cube(_size(args.params[0]), ctx)
+        P = generate_cube(_size(args.params), ctx)
     elif kind == "cross":
-        P = generate_cross_polytope(_size(args.params[0]), ctx)
+        P = generate_cross_polytope(_size(args.params), ctx)
     elif kind == "endgo":
-        P = generate_max_rank_orthant(_size(args.params[0]), ctx)
+        P = generate_max_rank_orthant(_size(args.params), ctx)
     elif kind == "simplex":
         P = generate_simplex([ctx.parse(p) for p in args.params], ctx)
     else:

@@ -29,6 +29,7 @@ from typing import Optional
 
 from .context import Context
 from .errors import (
+    BrokenInvariant,
     DegeneratePolyhedron,
     DimensionMismatch,
     TooManyNeedles,
@@ -193,7 +194,7 @@ def _near_unit_rows(primitives, ctx):
         if _minimality_ok(rows, ctx):
             return rows
         k <<= 1
-    raise RuntimeError("near-unit scaling failed to certify minimality")
+    raise BrokenInvariant("reduce: near-unit scaling did not certify a minimal system")
 
 
 def canonical_polyhedron(h: Hedgehog) -> Polyhedron:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Optional
 
-from .errors import WrongDimension
+from .errors import BrokenInvariant, WrongDimension
 from .hedgehogs import Hedgehog
 from .matrix import dot
 
@@ -79,8 +79,8 @@ def classify_2d(h: Hedgehog) -> Class2D:
     if m == 4 and _two_perpendicular_pairs(needles, ctx):
         return Class2D(Verdict2D.ORTHANT_B1, needles, p_count)
     if not _has_acute_triple(needles, ctx):
-        raise AssertionError(
-            "orthant planar hedgehog with neither shape; classification is broken"
+        raise BrokenInvariant(
+            "classify_2d: orthant hedgehog with no perpendicular pairs and no acute triple"
         )
     return Class2D(Verdict2D.ORTHANT_B2, needles, p_count)
 

@@ -10,15 +10,18 @@ linear program instead of any vertex enumeration; redundancy removal runs
 one n-row dual LP per inequality.  Both LPs are solved as their duals,
 which have one row per coordinate and one nonnegative column per
 inequality: n rows instead of m, and no free variables to split.
-Recession rays are found by enumerating the (n-1)-subsets of rows, which
-is entirely adequate at desk scale and easy to certify.
+Boundedness is one certified LP as well (Stiemke's alternative, below),
+with no dimension guard.  Recession rays and vertices are still found by
+enumerating row subsets; only the recession-cone padding of
+``realize_unbounded`` needs the rays, and nothing in the library needs
+the vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .context import Context, Scalar
 from .errors import (
@@ -79,6 +82,13 @@ class Polyhedron:
         rows = [self.A.row(i) for i in row_idx]
         offs = [self.b[i] for i in row_idx]
         return Polyhedron.from_rows(rows, offs, self.ctx)
+
+
+class _System(NamedTuple):
+    """Q t = c, the two fields that lp.decide_positive and lp.verify_outcome read."""
+
+    Q: Mat
+    c: tuple
 
 
 @dataclass(frozen=True)
@@ -257,8 +267,23 @@ def recession_rays(P: Polyhedron) -> Cone:
     return Cone(n, tuple(rays), ctx)
 
 
+def boundedness(P: Polyhedron) -> lp.PositivityOutcome:
+    """Stiemke's alternative for A^T y = 0 (Schrijver 1986, sec. 7.8), re-checked.
+
+    With A of full column rank, P is bounded exactly when some y > 0 has
+    A^T y = 0: a Positive witness y proves it, and a NotPositive certificate
+    v has A v >= 0, A v != 0, so v is a recession direction.
+    """
+    require_nondegenerate(P)
+    system = _System(P.A.transpose(), tuple(P.ctx.zero() for _ in range(P.dim)))
+    outcome = lp.decide_positive(system)
+    if outcome.verdict == lp.Verdict.INCONSISTENT or not lp.verify_outcome(system, outcome):
+        raise BrokenInvariant("is_bounded: A^T y = 0 (solved by y = 0) failed its re-check")
+    return outcome
+
+
 def is_bounded(P: Polyhedron) -> bool:
-    return recession_rays(P).is_trivial
+    return boundedness(P).is_positive
 
 
 # ---------------------------------------------------------------------------

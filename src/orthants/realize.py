@@ -10,11 +10,13 @@ sum t_i a_i a_i^T = I_n is equivalent to distance preservation for all
 point pairs at once, so verifying an embedding never needs square roots:
 the identity is checked exactly, and squared image distances are rational.
 
-Polyhedra that are not orthant still embed once the system is padded with
-enough auxiliary halfspaces: any bounded polyhedron joins the standard
-full-rank orthant family of its dimension, and an unbounded one joins a
-sheared copy controlled by its recession cone, provided that cone sits
-strictly inside the positive orthant.
+Both realizers try the paper's variant 1 first: when the polyhedron's own
+weighting system has a positive solution, the polyhedron is realized in
+R^m, m its facet count, with no auxiliary rows.  Otherwise (variant 2) the
+system is padded with enough auxiliary halfspaces: a bounded polyhedron
+joins the standard full-rank orthant family of its dimension, and an
+unbounded one joins a sheared copy controlled by its recession cone,
+provided that cone sits strictly inside the positive orthant.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from .errors import (
     UnboundedPolyhedron,
 )
 from .matrix import Mat, dot, proportional
-from .polyhedra import Polyhedron, functional_min, recession_rays, require_nondegenerate
+from .polyhedra import Polyhedron, functional_min, is_bounded, recession_rays
+from .polyhedra import require_nondegenerate
 from .frames import build, system_from_normals
 from .generators import generate_max_rank_orthant
 from . import lp
@@ -146,35 +149,49 @@ def _pad_and_embed(P: Polyhedron, aux_normals) -> Embedding:
     )
 
 
+def orthant_embedding(P: Polyhedron) -> Embedding | None:
+    """Variant 1: P in R^m when its own weighting system is Positive, else None."""
+    outcome = lp.decide_positive(build(P))
+    return build_embedding(P, outcome.witness_t) if outcome.is_positive else None
+
+
+def _pad_with_companion(P: Polyhedron) -> Embedding:
+    companion = generate_max_rank_orthant(P.dim, P.ctx)
+    return _pad_and_embed(P, [companion.A.row(i) for i in range(companion.nfacets)])
+
+
 def realize_polytope(P: Polyhedron) -> Embedding:
     """Isometric orthant section of a bounded polyhedron, any target dimension.
 
-    Joins the facet directions with the standard full-rank orthant family,
-    pushing its offsets strictly below the polytope so that no auxiliary
-    halfspace touches it; the padded system always admits a positive
-    weighting because it contains a full-rank orthant subsystem.
+    Unless P is orthant, joins the facet directions with the standard
+    full-rank orthant family, pushing its offsets strictly below the
+    polytope so that no auxiliary halfspace touches it; the padded system
+    has a positive weighting because it holds a full-rank orthant subsystem.
     """
-    require_nondegenerate(P)
-    if not recession_rays(P).is_trivial:
+    E = orthant_embedding(P)
+    if E is not None:
+        return E
+    if not is_bounded(P):
         raise UnboundedPolyhedron("use realize_unbounded for unbounded inputs")
-    companion = generate_max_rank_orthant(P.dim, P.ctx)
-    aux = [companion.A.row(i) for i in range(companion.nfacets)]
-    return _pad_and_embed(P, aux)
+    return _pad_with_companion(P)
 
 
 def realize_unbounded(P: Polyhedron) -> Embedding:
-    """Orthant section of an unbounded polyhedron whose recession rays are
-    strictly positive componentwise; refuses the boundary case.
+    """Orthant section of a polyhedron that is orthant, bounded, or has
+    recession rays strictly positive componentwise; refuses the boundary case.
 
-    The auxiliary family is x_i and x_i -+ eps x_j with eps below every
-    ratio r_i / r_j over the recession rays, which keeps all auxiliary
-    functionals bounded below on the polyhedron.
+    One LP decides boundedness.  In the unbounded case the auxiliary family
+    is x_i and x_i -+ eps x_j with eps below every ratio r_i / r_j over the
+    recession rays, which keeps all auxiliary functionals bounded below on
+    the polyhedron.
     """
-    require_nondegenerate(P)
+    E = orthant_embedding(P)
+    if E is not None:
+        return E
+    if is_bounded(P):
+        return _pad_with_companion(P)
     ctx = P.ctx
     cone = recession_rays(P)
-    if cone.is_trivial:
-        return realize_polytope(P)
     for r in cone.rays:
         if any(ctx.sign(x) <= 0 for x in r):
             raise RecessionNotStrictlyPositive(
@@ -190,21 +207,14 @@ def realize_unbounded(P: Polyhedron) -> Embedding:
                     bound = r[i] / r[j] * half
                     if ctx.lt(bound, eps):
                         eps = bound
-    aux = []
-    for i in range(n):
+
+    def unit(i, j=None, w=None):
         e = [ctx.zero()] * n
         e[i] = ctx.one()
-        aux.append(tuple(e))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            minus = [ctx.zero()] * n
-            minus[i] = ctx.one()
-            minus[j] = -eps
-            aux.append(tuple(minus))
-            plus = [ctx.zero()] * n
-            plus[i] = ctx.one()
-            plus[j] = eps
-            aux.append(tuple(plus))
+        if j is not None:
+            e[j] = w
+        return tuple(e)
+
+    aux = [unit(i) for i in range(n)]
+    aux += [unit(i, j, w) for i in range(n) for j in range(n) if i != j for w in (-eps, eps)]
     return _pad_and_embed(P, aux)

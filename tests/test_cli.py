@@ -30,6 +30,27 @@ def test_decompose_endgo4_beyond_twelve_needles():
     assert doc["union_rank"] == 10
 
 
+@pytest.mark.parametrize("command", ["embed", "realize"])
+def test_cube7_beyond_the_ray_guard(command):
+    code, text, _ = orthants("gen", "cube", "7")
+    assert code == 0
+    code, out, err = orthants(command, "-", stdin=text)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["target_dim"] == 14
+    assert "mapped_vertices" not in doc
+
+
+def test_realize_endgo3_stdout_is_byte_stable():
+    _, text, _ = orthants("gen", "endgo", "3")
+    first = orthants("realize", "-", stdin=text)
+    second = orthants("realize", "-", stdin=text)
+    assert first[0] == 0 and first[1] == second[1]
+    doc = json.loads(first[1])
+    assert doc["target_dim"] == 12
+    assert "mapped_vertices" not in doc
+
+
 @pytest.mark.parametrize(
     "argv, doc",
     [
@@ -42,10 +63,13 @@ def test_decompose_endgo4_beyond_twelve_needles():
         (["gen", "cube", "x"], ""),
         (["gen", "cross", "1.5"], ""),
         (["gen", "endgo", ""], ""),
+        (["gen", "cube", "2", "3"], ""),
+        (["gen", "endgo", "3", "1"], ""),
     ],
     ids=[
         "dim-not-an-integer", "numbers-for-scalars", "float-overflow",
         "gen-cube-x", "gen-cross-1.5", "gen-endgo-empty",
+        "gen-cube-2-3", "gen-endgo-3-1",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(argv, doc):

@@ -5,6 +5,7 @@ import pytest
 
 from orthants import (
     Polyhedron,
+    boundedness,
     functional_min,
     generate_cross_polytope,
     generate_cube,
@@ -19,6 +20,7 @@ from orthants import (
 )
 from orthants.context import EXACT, FLOAT
 from orthants.errors import (
+    DegeneratePolyhedron,
     DimensionTooLarge,
     EmptyOrLowerDimensional,
     EmptyPolyhedron,
@@ -279,6 +281,46 @@ class TestAgainstFourierMotzkin:
             assert all(dot(a, x) > b for a, b in zip(rows, offsets))
             found += 1
         assert 0 < found < SYSTEMS
+
+
+class TestBoundedness:
+    """The Stiemke LP against ray enumeration, with its certificate re-checked."""
+
+    @pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
+    def test_agrees_with_ray_enumeration(self, ctx):
+        rng = random.Random(2027)
+        seen = {True: 0, False: 0}
+        compared = 0
+        while compared < 1000:
+            rows, offsets = random_system(rng)
+            P = Polyhedron.from_rows(rows, offsets, ctx)
+            if not is_nondegenerate(P):
+                with pytest.raises(DegeneratePolyhedron):
+                    is_bounded(P)
+                continue
+            bounded = recession_rays(P).is_trivial
+            outcome = boundedness(P)
+            assert outcome.is_positive == bounded
+            seen[bounded] += 1
+            compared += 1
+            if not ctx.is_exact:
+                continue
+            if bounded:
+                y = outcome.witness_t
+                assert all(v > 0 for v in y)
+                assert all(dot(y, [r[k] for r in rows]) == 0 for k in range(len(rows[0])))
+            else:
+                Av = [dot(a, outcome.certificate_y) for a in rows]
+                assert all(v >= 0 for v in Av) and any(v > 0 for v in Av)
+        assert min(seen.values()) > 100
+
+    def test_cube7_beyond_the_ray_guard(self):
+        cube = generate_cube(7)
+        with pytest.raises(DimensionTooLarge):
+            recession_rays(cube)
+        assert is_bounded(cube)
+        orthant = Polyhedron.from_rows([list(r) for r in cube.A.data[:7]], [0] * 7, EXACT)
+        assert not is_bounded(orthant)
 
 
 class TestGenerators:
