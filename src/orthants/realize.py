@@ -10,11 +10,10 @@ sum t_i a_i a_i^T = I_n is equivalent to distance preservation for all
 point pairs at once, so verifying an embedding never needs square roots:
 the identity is checked exactly, and squared image distances are rational.
 
-Both realizers try the paper's variant 1 first: when the polyhedron's own
-weighting system has a positive solution, the polyhedron is realized in
-R^m, m its facet count, with no auxiliary rows.  Otherwise (variant 2) the
-system is padded with enough auxiliary halfspaces: a bounded polyhedron
-joins the standard full-rank orthant family of its dimension, and an
+``orthant_embedding`` is the paper's variant 1: P in R^m, m its facet
+count.  The realizers take variant 2 for every input and pad the system
+with enough auxiliary halfspaces: a bounded polyhedron (one LP decides
+it) joins the standard full-rank orthant family of its dimension, and an
 unbounded one joins a sheared copy controlled by its recession cone,
 provided that cone sits strictly inside the positive orthant.
 """
@@ -64,9 +63,9 @@ class Embedding:
         )
 
 
-def build_embedding(P: Polyhedron, t) -> Embedding:
-    """Package a verified positive weighting as a section map."""
-    B = build(P)
+def build_embedding(P: Polyhedron, t, system=None) -> Embedding:
+    """Package a verified positive weighting of P's system (built if not given)."""
+    B = build(P) if system is None else system
     outcome = lp.PositivityOutcome(lp.Verdict.POSITIVE, P.ctx.backend, witness_t=tuple(t))
     if not lp.verify_outcome(B, outcome):
         raise InvalidWitness("t is not a positive solution of the weighting system")
@@ -151,8 +150,9 @@ def _pad_and_embed(P: Polyhedron, aux_normals) -> Embedding:
 
 def orthant_embedding(P: Polyhedron) -> Embedding | None:
     """Variant 1: P in R^m when its own weighting system is Positive, else None."""
-    outcome = lp.decide_positive(build(P))
-    return build_embedding(P, outcome.witness_t) if outcome.is_positive else None
+    system = build(P)
+    outcome = lp.decide_positive(system)
+    return build_embedding(P, outcome.witness_t, system) if outcome.is_positive else None
 
 
 def _pad_with_companion(P: Polyhedron) -> Embedding:
@@ -163,31 +163,25 @@ def _pad_with_companion(P: Polyhedron) -> Embedding:
 def realize_polytope(P: Polyhedron) -> Embedding:
     """Isometric orthant section of a bounded polyhedron, any target dimension.
 
-    Unless P is orthant, joins the facet directions with the standard
-    full-rank orthant family, pushing its offsets strictly below the
-    polytope so that no auxiliary halfspace touches it; the padded system
-    has a positive weighting because it holds a full-rank orthant subsystem.
+    Joins the facet directions with the standard full-rank orthant family,
+    pushing its offsets strictly below the polytope so that no auxiliary
+    halfspace touches it; the padded system always admits a positive
+    weighting because it contains a full-rank orthant subsystem.
     """
-    E = orthant_embedding(P)
-    if E is not None:
-        return E
     if not is_bounded(P):
         raise UnboundedPolyhedron("use realize_unbounded for unbounded inputs")
     return _pad_with_companion(P)
 
 
 def realize_unbounded(P: Polyhedron) -> Embedding:
-    """Orthant section of a polyhedron that is orthant, bounded, or has
-    recession rays strictly positive componentwise; refuses the boundary case.
+    """Orthant section of an unbounded polyhedron whose recession rays are
+    strictly positive componentwise; refuses the boundary case.  A bounded
+    input is padded as in realize_polytope, with boundedness decided once.
 
-    One LP decides boundedness.  In the unbounded case the auxiliary family
-    is x_i and x_i -+ eps x_j with eps below every ratio r_i / r_j over the
-    recession rays, which keeps all auxiliary functionals bounded below on
-    the polyhedron.
+    The auxiliary family is x_i and x_i -+ eps x_j with eps below every
+    ratio r_i / r_j over the recession rays, which keeps all auxiliary
+    functionals bounded below on the polyhedron.
     """
-    E = orthant_embedding(P)
-    if E is not None:
-        return E
     if is_bounded(P):
         return _pad_with_companion(P)
     ctx = P.ctx
@@ -207,14 +201,21 @@ def realize_unbounded(P: Polyhedron) -> Embedding:
                     bound = r[i] / r[j] * half
                     if ctx.lt(bound, eps):
                         eps = bound
-
-    def unit(i, j=None, w=None):
+    aux = []
+    for i in range(n):
         e = [ctx.zero()] * n
         e[i] = ctx.one()
-        if j is not None:
-            e[j] = w
-        return tuple(e)
-
-    aux = [unit(i) for i in range(n)]
-    aux += [unit(i, j, w) for i in range(n) for j in range(n) if i != j for w in (-eps, eps)]
+        aux.append(tuple(e))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            minus = [ctx.zero()] * n
+            minus[i] = ctx.one()
+            minus[j] = -eps
+            aux.append(tuple(minus))
+            plus = [ctx.zero()] * n
+            plus[i] = ctx.one()
+            plus[j] = eps
+            aux.append(tuple(plus))
     return _pad_and_embed(P, aux)

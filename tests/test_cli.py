@@ -30,14 +30,14 @@ def test_decompose_endgo4_beyond_twelve_needles():
     assert doc["union_rank"] == 10
 
 
-@pytest.mark.parametrize("command", ["embed", "realize"])
-def test_cube7_beyond_the_ray_guard(command):
+@pytest.mark.parametrize("command, target", [("embed", 14), ("realize", 56)])
+def test_cube7_beyond_the_ray_guard(command, target):
     code, text, _ = orthants("gen", "cube", "7")
     assert code == 0
     code, out, err = orthants(command, "-", stdin=text)
     assert code == 0, err
     doc = json.loads(out)
-    assert doc["target_dim"] == 14
+    assert doc["target_dim"] == target
     assert "mapped_vertices" not in doc
 
 
@@ -47,7 +47,7 @@ def test_realize_endgo3_stdout_is_byte_stable():
     second = orthants("realize", "-", stdin=text)
     assert first[0] == 0 and first[1] == second[1]
     doc = json.loads(first[1])
-    assert doc["target_dim"] == 12
+    assert doc["target_dim"] == 24
     assert "mapped_vertices" not in doc
 
 
