@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .context import Context
-from .matrix import Mat, rank
+from .matrix import Mat, rank, solve_linear
 from .polyhedra import Polyhedron, require_nondegenerate
 
 
@@ -65,10 +65,10 @@ def poly_rank(P: Polyhedron) -> int:
 
 
 def is_consistent(P: Polyhedron) -> bool:
-    """True when Q t = c is solvable at all (sign-free): rank Q = rank [Q|c].
+    """True when Q t = c is solvable at all (sign-free).
 
     Orthant polyhedra always pass this test; the converse fails, so this is
     the cheap necessary condition, not the decision.
     """
     B = build(P)
-    return rank(B.Q) == rank(B.Q.augment_column(list(B.c)))
+    return solve_linear(B.Q, list(B.c)) is not None

@@ -34,7 +34,7 @@ from .errors import (
     DimensionMismatch,
     TooManyNeedles,
 )
-from .matrix import Mat, dot, primitive, rank
+from .matrix import Mat, dot, normalize, pivot_columns
 from .polyhedra import Polyhedron, is_nondegenerate
 
 _NEEDLE_GUARD = 9
@@ -67,17 +67,9 @@ def _sign_fix(v, ctx):
     raise ValueError("zero needle")
 
 
-def _unit_float(v, tol):
-    norm = sum(float(x) * float(x) for x in v) ** 0.5
-    return tuple(float(x) / norm for x in v)
-
-
 def canonical_needle(v, ctx):
     """Sign-fixed primitive (exact) or unit (float) representative of a direction."""
-    fixed = _sign_fix([ctx.coerce(x) for x in v], ctx)
-    if ctx.is_exact:
-        return primitive(fixed)
-    return _unit_float(fixed, ctx.tol)
+    return normalize(_sign_fix([ctx.coerce(x) for x in v], ctx), ctx)
 
 
 def _proportional(u, v, ctx) -> bool:
@@ -95,18 +87,13 @@ def _dedup(needles, ctx):
 
 
 def _reorder_prefix(needles, n, ctx):
-    """Move the first n-1 independent needles (scan order) to the front."""
-    chosen = []
-    chosen_idx = []
-    for i, v in enumerate(needles):
-        if len(chosen) == n - 1:
-            break
-        trial = Mat.from_rows(chosen + [list(v)], ctx)
-        if rank(trial) == len(chosen) + 1:
-            chosen.append(list(v))
-            chosen_idx.append(i)
-    rest = [v for i, v in enumerate(needles) if i not in set(chosen_idx)]
-    return [needles[i] for i in chosen_idx] + rest
+    """Move the first n-1 independent needles (scan order) to the front.
+
+    They are the first n-1 pivot columns of the needles-as-columns matrix.
+    """
+    chosen = pivot_columns(Mat.from_rows(needles, ctx).transpose())[: n - 1]
+    rest = [v for i, v in enumerate(needles) if i not in chosen]
+    return [needles[i] for i in chosen] + rest
 
 
 def _fraction_sqrt(x: Fraction) -> Optional[Fraction]:

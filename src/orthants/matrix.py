@@ -1,10 +1,15 @@
 """Dense matrices over a scalar backend.
 
-Exact rank and determinants go through fraction-free (Bareiss) elimination
-on integer-rescaled rows, which keeps intermediate entries polynomial in
-the input size instead of letting denominators explode.  Solving and
-kernels share one Gauss-Jordan loop with a fixed pivot rule so that
-results are deterministic and reproducible.
+Rank, pivot columns, solutions, kernels and determinants are all read off
+one Gauss-Jordan reduction, ``_echelon``.  On the exact backend it scales
+each row to integers once and then eliminates fraction-free (Bareiss
+1968): every division is exact and intermediate entries are minors of the
+input, so their size stays polynomial instead of letting denominators
+explode.  A Fraction is built only when a result is read off.  The float
+backend runs the same loop with partial pivoting and a zero tolerance.
+Exact results do not depend on the pivot rule: the rank, the pivot
+columns, the solution with free variables at zero, the kernel basis with
+1 in its free coordinate and the determinant are unique.
 """
 
 from __future__ import annotations
@@ -80,14 +85,6 @@ class Mat:
     def select_columns(self, col_idx: Sequence[int]) -> "Mat":
         return self.submatrix(range(self.rows), col_idx)
 
-    def augment_column(self, v: Sequence[Scalar]) -> "Mat":
-        if len(v) != self.rows:
-            raise ShapeMismatch("augment length")
-        vv = [self.ctx.coerce(x) for x in v]
-        return Mat(
-            tuple(row + (vv[i],) for i, row in enumerate(self.data)), self.ctx
-        )
-
 
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     if len(u) != len(v):
@@ -107,6 +104,14 @@ def primitive(vec: Sequence[Fraction]) -> tuple:
     return tuple(Fraction(x // g) for x in ints)
 
 
+def normalize(vec: Sequence[Scalar], ctx: Context) -> tuple:
+    """One representative per direction: primitive (exact) or unit length (float)."""
+    if ctx.is_exact:
+        return primitive(vec)
+    norm = sum(float(x) * float(x) for x in vec) ** 0.5
+    return tuple(float(x) / norm for x in vec)
+
+
 def proportional(u: Sequence[Scalar], v: Sequence[Scalar], ctx: Context) -> Optional[Scalar]:
     """The scalar lam with v = lam * u for a nonzero u, or None."""
     k = next((i for i in range(len(u)) if ctx.sign(u[i]) != 0), None)
@@ -118,100 +123,82 @@ def proportional(u: Sequence[Scalar], v: Sequence[Scalar], ctx: Context) -> Opti
     return None
 
 
-def _integer_rows(M: Mat) -> list:
-    """Rescale each row by the lcm of denominators; rank-preserving."""
-    out = []
-    for row in M.data:
-        scale = lcm(*(x.denominator for x in row))
-        out.append([int(x * scale) for x in row])
-    return out
+def _echelon(M: Mat, rhs: Optional[Sequence[Scalar]] = None):
+    """Gauss-Jordan on [M | rhs]: (reduced rows, pivot columns, swap sign, row scale).
 
-
-def rank(M: Mat) -> int:
-    """Rank of M; fraction-free elimination on the exact backend."""
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    if M.ctx.is_exact:
-        return _rank_bareiss(_integer_rows(M))
-    return _rank_float([list(map(float, row)) for row in M.data], M.ctx.tol)
-
-
-def _rank_bareiss(a: list) -> int:
-    m, n = len(a), len(a[0])
-    prev = 1
-    r = 0
-    col = 0
-    while r < m and col < n:
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        p = a[r][col]
-        for i in range(r + 1, m):
-            ai = a[i]
-            ar = a[r]
-            f = ai[col]
-            for j in range(col, n):
-                # exact division is guaranteed by the Bareiss identity
-                ai[j] = (ai[j] * p - f * ar[j]) // prev
-        prev = p
-        r += 1
-        col += 1
-    return r
-
-
-def _rank_float(a: list, tol: float) -> int:
-    m, n = len(a), len(a[0])
-    r = 0
-    col = 0
-    while r < m and col < n:
-        piv = max(range(r, m), key=lambda i: abs(a[i][col]))
-        if abs(a[piv][col]) <= tol:
-            col += 1
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][col]
-        for i in range(r + 1, m):
-            f = a[i][col] / p
-            if f != 0.0:
-                for j in range(col, n):
-                    a[i][j] -= f * a[r][j]
-        r += 1
-        col += 1
-    return r
-
-
-def _gauss_jordan(a: list, ctx: Context) -> list:
-    """Reduce the rows of ``a`` in place to echelon form, clearing each pivot
-    column above and below its pivot; rows are not normalised.
-
-    Deterministic pivot rule: for each column left to right, take the first
-    unused row with a nonzero entry there and swap it into place.  Returns
-    the pivot columns; the k-th pivot sits in row k.
+    Every pivot column is cleared above and below its pivot, and the k-th
+    pivot sits in row k; rows are not normalised.  On the exact backend
+    each row is first scaled to integers (``scale`` is the product of the
+    row scalings) and the reduction is fraction-free: every division is
+    exact, and at the end every pivot entry is the same integer.  The pivot
+    is the first nonzero entry of its column.  On the float backend it is
+    the entry of largest magnitude, and magnitudes at or below ``tol``
+    count as zero.
     """
+    ctx = M.ctx
+    rows = M.data
+    if rhs is not None:
+        rows = [row + (ctx.coerce(b),) for row, b in zip(rows, rhs)]
+    exact = ctx.is_exact
+    scale = 1
+    if exact:
+        a = []
+        for row in rows:
+            s = lcm(*(x.denominator for x in row))
+            scale *= s
+            a.append([x.numerator * (s // x.denominator) for x in row])
+    else:
+        a = [list(map(float, row)) for row in rows]
     m = len(a)
     n = len(a[0]) if m else 0
     pivots = []
+    sign = 1
+    prev = 1
     for col in range(n):
         r = len(pivots)
         if r == m:
             break
-        piv = next((i for i in range(r, m) if ctx.sign(a[i][col]) != 0), None)
+        if exact:
+            piv = next((i for i in range(r, m) if a[i][col]), None)
+        else:
+            piv = max(range(r, m), key=lambda i: abs(a[i][col]))
+            if abs(a[piv][col]) <= ctx.tol:
+                piv = None
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][col]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        ar = a[r]
+        p = ar[col]
         for i in range(m):
             if i == r:
                 continue
-            f = a[i][col] / p
-            if ctx.sign(f) != 0:
-                for j in range(col, n):
-                    a[i][j] -= f * a[r][j]
+            f = a[i][col]
+            if exact:
+                # exact by the Bareiss identity: entries stay minors of the input
+                a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], ar)]
+            elif f:
+                f /= p
+                a[i] = [x - f * y for x, y in zip(a[i], ar)]
+        prev = p
         pivots.append(col)
-    return pivots
+    return a, pivots, sign, scale
+
+
+def _ratio(num, den, ctx: Context) -> Scalar:
+    """num / den of two echelon entries, as a backend scalar."""
+    return Fraction(num, den) if ctx.is_exact else num / den
+
+
+def pivot_columns(M: Mat) -> list:
+    """Pivot columns of M: the first independent columns in scan order."""
+    return _echelon(M)[1]
+
+
+def rank(M: Mat) -> int:
+    """Rank of M; fraction-free elimination on the exact backend."""
+    return len(pivot_columns(M))
 
 
 def solve_linear(M: Mat, rhs: Sequence[Scalar]) -> Optional[list]:
@@ -223,15 +210,13 @@ def solve_linear(M: Mat, rhs: Sequence[Scalar]) -> Optional[list]:
     """
     if len(rhs) != M.rows:
         raise ShapeMismatch("rhs length")
-    ctx = M.ctx
-    a = [list(row) + [ctx.coerce(rhs[i])] for i, row in enumerate(M.data)]
     n = M.cols
-    pivots = _gauss_jordan(a, ctx)
+    a, pivots, _, _ = _echelon(M, rhs)
     if pivots and pivots[-1] == n:
         return None
-    x = [ctx.zero()] * n
-    for r, col in enumerate(pivots):
-        x[col] = a[r][n] / a[r][col]
+    x = [M.ctx.zero()] * n
+    for row, col in zip(a, pivots):
+        x[col] = _ratio(row[n], row[col], M.ctx)
     return x
 
 
@@ -242,18 +227,16 @@ def kernel_basis(M: Mat) -> list:
     vector has 1 in its free coordinate, so the basis is deterministic.
     """
     ctx = M.ctx
-    a = [list(row) for row in M.data]
-    pivots = _gauss_jordan(a, ctx)
-    n = M.cols
+    a, pivots, _, _ = _echelon(M)
     pivot_set = set(pivots)
     basis = []
-    for free in range(n):
+    for free in range(M.cols):
         if free in pivot_set:
             continue
-        v = [ctx.zero()] * n
+        v = [ctx.zero()] * M.cols
         v[free] = ctx.one()
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][free] / a[r][pc]
+        for row, pc in zip(a, pivots):
+            v[pc] = -_ratio(row[free], row[pc], ctx)
         basis.append(v)
     return basis
 
@@ -273,51 +256,18 @@ def inverse(M: Mat) -> Mat:
 
 
 def det(M: Mat) -> Scalar:
-    """Determinant of a square matrix (Bareiss on the exact backend)."""
+    """Determinant of a square matrix, read off the echelon pivots."""
     if M.rows != M.cols:
         raise ShapeMismatch("det needs a square matrix")
-    n = M.rows
-    if n == 0:
+    if M.rows == 0:
         return M.ctx.one()
-    if not M.ctx.is_exact:
-        return _det_float([list(map(float, row)) for row in M.data], M.ctx.tol)
-    # Track the row scalings introduced when clearing denominators.
-    scale = Fraction(1)
-    a = []
-    for row in M.data:
-        s = lcm(*(x.denominator for x in row))
-        scale *= s
-        a.append([int(x * s) for x in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1]) / scale
-
-
-def _det_float(a: list, tol: float) -> float:
-    n = len(a)
-    d = 1.0
-    for k in range(n):
-        piv = max(range(k, n), key=lambda i: abs(a[i][k]))
-        if abs(a[piv][k]) <= tol:
-            return 0.0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            d = -d
-        d *= a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
+    a, pivots, sign, scale = _echelon(M)
+    if len(pivots) < M.rows:
+        return M.ctx.zero()
+    if M.ctx.is_exact:
+        # every pivot equals the determinant of the integer-scaled rows
+        return Fraction(sign * a[-1][pivots[-1]], scale)
+    d = float(sign)
+    for row, col in zip(a, pivots):
+        d *= row[col]
     return d

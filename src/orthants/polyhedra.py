@@ -32,7 +32,7 @@ from .errors import (
     EmptyPolyhedron,
     ShapeMismatch,
 )
-from .matrix import Mat, dot, kernel_basis, primitive, proportional, rank, solve_linear
+from .matrix import Mat, dot, kernel_basis, normalize, proportional, rank, solve_linear
 from . import lp
 
 _RAY_DIM_GUARD = 6
@@ -228,13 +228,6 @@ def remove_redundant(P: Polyhedron) -> Polyhedron:
 # recession cone
 
 
-def _primitive(vec, ctx):
-    if not ctx.is_exact:
-        norm = sum(float(v) * float(v) for v in vec) ** 0.5
-        return tuple(float(v) / norm for v in vec)
-    return primitive(vec)
-
-
 def recession_rays(P: Polyhedron) -> Cone:
     """Extreme rays of {v : A v >= 0}; empty for bounded polyhedra."""
     require_nondegenerate(P)
@@ -259,7 +252,7 @@ def recession_rays(P: Polyhedron) -> Cone:
         if all(ctx.sign(v) == 0 for v in d):
             continue
         if all(ctx.sign(dot(P.A.row(i), d)) >= 0 for i in range(m)):
-            prim = _primitive(d, ctx)
+            prim = normalize(d, ctx)
             key = tuple(prim) if ctx.is_exact else tuple(round(v / ctx.tol) for v in prim)
             if key not in seen:
                 seen.add(key)

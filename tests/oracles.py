@@ -2,13 +2,15 @@
 
 Everything here is deliberately self-contained (fractions + itertools
 only), so agreement with the library is a genuine two-route check: plain
-rational row reduction for ranks and solutions, and Fourier-Motzkin
+rational row reduction for ranks and solutions, the permutation expansion
+for determinants, and Fourier-Motzkin
 elimination for three questions: does Q t = c have a strictly positive
 solution (after Gaussian substitution), does A x > b have a solution, and
 what is the minimum of f.x over A x >= b.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 
 def rref_rank(rows):
@@ -62,6 +64,19 @@ def solve_any(rows, rhs):
     for row_i, col in enumerate(piv_cols):
         x[col] = a[row_i][n]
     return x
+
+
+def permutation_det(rows):
+    """Determinant as the signed sum over permutations (Leibniz); small n only."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= Fraction(rows[i][j])
+        total += term
+    return total
 
 
 def _fm_eliminate(rows, var, step):

@@ -7,11 +7,62 @@ from hypothesis import given, settings, strategies as st
 from orthants import Mat, det, inverse, kernel_basis, rank, solve_linear
 from orthants.context import Context, EXACT, FLOAT
 from orthants.errors import BackendMismatch, ParseError
-from oracles import rref_rank
+from orthants.hedgehogs import _reorder_prefix
+from orthants.matrix import pivot_columns
+from oracles import permutation_det, rref_rank, solve_any
+from conftest import rand_frac
 
 fractions_st = st.fractions(
     min_value=-9, max_value=9, max_denominator=9
 )
+
+
+def greedy_pivot_columns(rows):
+    """Columns that raise the rank of the columns kept before them."""
+    kept = []
+    for j in range(len(rows[0]) if rows else 0):
+        if rref_rank([[row[k] for k in kept + [j]] for row in rows]) == len(kept) + 1:
+            kept.append(j)
+    return kept
+
+
+def greedy_prefix(needles, n):
+    """The greedy prefix scan: one rank per candidate needle, in scan order."""
+    chosen = []
+    for i, v in enumerate(needles):
+        if len(chosen) == n - 1:
+            break
+        if rref_rank([needles[j] for j in chosen] + [v]) == len(chosen) + 1:
+            chosen.append(i)
+    return [needles[i] for i in chosen] + [
+        v for i, v in enumerate(needles) if i not in chosen
+    ]
+
+
+def assert_canonical_kernel(rows, basis):
+    """M v = 0, and v is 1 on its own free column and 0 on the others."""
+    M = Mat.from_rows(rows, EXACT)
+    pivots = greedy_pivot_columns(rows)
+    free = [j for j in range(M.cols) if j not in pivots]
+    assert len(basis) == len(free)
+    for f, v in zip(free, basis):
+        assert all(x == 0 for x in M.matvec(v))
+        assert [v[j] for j in free] == [int(j == f) for j in free]
+
+
+def close(a, b):
+    return abs(float(a) - float(b)) <= 1e-9 * max(1.0, abs(float(b)))
+
+
+def rank_deficient_rows(rng, m, n):
+    """An m x n product of random fractional m x r and r x n factors."""
+    r = rng.randint(0, min(m, n))
+    left = [[rand_frac(rng, -5, 5, 6) for _ in range(r)] for _ in range(m)]
+    right = [[rand_frac(rng, -5, 5, 6) for _ in range(n)] for _ in range(r)]
+    return [
+        [sum((left[i][k] * right[k][j] for k in range(r)), Fraction(0)) for j in range(n)]
+        for i in range(m)
+    ]
 
 
 def small_matrix_st(max_dim=4):
@@ -69,7 +120,9 @@ class TestRank:
     @given(small_matrix_st())
     @settings(max_examples=60, deadline=None)
     def test_rank_matches_plain_row_reduction(self, rows):
-        assert rank(Mat.from_rows(rows, EXACT)) == rref_rank(rows)
+        M = Mat.from_rows(rows, EXACT)
+        assert rank(M) == rref_rank(rows)
+        assert pivot_columns(M) == greedy_pivot_columns(rows)
 
     @given(small_matrix_st())
     @settings(max_examples=60, deadline=None)
@@ -124,8 +177,7 @@ class TestSolve:
     @settings(max_examples=40, deadline=None)
     def test_kernel_vectors_annihilate(self, rows):
         M = Mat.from_rows(rows, EXACT)
-        for v in kernel_basis(M):
-            assert all(x == 0 for x in M.matvec(v))
+        assert_canonical_kernel(rows, kernel_basis(M))
         assert len(kernel_basis(M)) == M.cols - rank(M)
 
 
@@ -149,3 +201,70 @@ class TestDetInverse:
             if det(M) == 0:
                 continue
             assert M.matmul(inverse(M)).data == Mat.identity(n, EXACT).data
+
+
+class TestEchelonKernel:
+    """rank, solve_linear, kernel_basis and det share one elimination; each
+    is checked against the oracles on rank-deficient fractional matrices."""
+
+    def test_exact_results_match_oracles(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            rows = rank_deficient_rows(rng, m, n)
+            M = Mat.from_rows(rows, EXACT)
+            assert rank(M) == rref_rank(rows)
+            x0 = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+            for rhs in (
+                [rand_frac(rng) for _ in range(m)],
+                M.matvec(x0),
+            ):
+                x = solve_linear(M, rhs)
+                assert (x is None) == (solve_any(rows, rhs) is None)
+                if x is not None:
+                    assert M.matvec(x) == rhs
+            assert_canonical_kernel(rows, kernel_basis(M))
+            k = min(m, n, 6)
+            square = [row[:k] for row in rows[:k]]
+            if rng.random() < 0.5:
+                square = [[rand_frac(rng) for _ in range(k)] for _ in range(k)]
+            assert det(Mat.from_rows(square, EXACT)) == permutation_det(square)
+
+    def test_float_matches_exact_on_well_conditioned_inputs(self):
+        # [D | E], D a row permutation of a strictly diagonally dominant
+        # matrix: rank m, pivots 0..m-1, and row swaps on both backends
+        rng = random.Random(2025)
+        for _ in range(100):
+            m, k = rng.randint(1, 6), rng.randint(0, 3)
+            rows = []
+            for i in range(m):
+                row = [rng.randint(-3, 3) for _ in range(m + k)]
+                row[i] = rng.choice((-1, 1)) * (sum(map(abs, row[:m])) + rng.randint(1, 5))
+                rows.append(row)
+            rng.shuffle(rows)
+            rhs = [rng.randint(-9, 9) for _ in range(m)]
+            E, F = Mat.from_rows(rows, EXACT), Mat.from_rows(rows, FLOAT)
+            assert rank(F) == rank(E) == m
+            assert all(map(close, solve_linear(F, rhs), solve_linear(E, rhs)))
+            for u, v in zip(kernel_basis(F), kernel_basis(E), strict=True):
+                assert all(map(close, u, v))
+            D = [row[:m] for row in rows]
+            assert close(det(Mat.from_rows(D, FLOAT)), det(Mat.from_rows(D, EXACT)))
+
+
+class TestReorderPrefix:
+    def test_matches_greedy_rank_scan(self):
+        rng = random.Random(2026)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            span = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            needles = []
+            for _ in range(rng.randint(1, 7)):
+                coef = [rng.randint(-2, 2) for _ in span]
+                v = tuple(Fraction(sum(c * b[j] for c, b in zip(coef, span))) for j in range(n))
+                if any(v):
+                    needles.append(v)
+            expected = greedy_prefix(needles, n)
+            assert _reorder_prefix(needles, n, EXACT) == expected
+            floats = [tuple(map(float, v)) for v in needles]
+            assert _reorder_prefix(floats, n, FLOAT) == [tuple(map(float, v)) for v in expected]
