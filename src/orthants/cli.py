@@ -17,7 +17,7 @@ import time
 
 from .context import Context, EXACT
 from .errors import OrthantsError, ParseError
-from .frames import build, poly_rank, is_consistent
+from .frames import build, rank_and_consistency
 from .hedgehogs import reduce as reduce_hedgehog
 from .planar import classify_2d
 from .simplices import SimplexClass, classify_simplex, embed_simplex
@@ -95,18 +95,19 @@ def _cmd_rank(args) -> int:
     started = time.perf_counter()
     ctx = _ctx(args)
     P = ff.polyhedron_from_text(_read(args.file), ctx)
-    r = poly_rank(P)
+    system = build(P)
+    r, consistent = rank_and_consistency(system)
     doc = {
         "command": "rank",
         "backend": ctx.backend,
         "rank": r,
-        "consistent": is_consistent(P),
+        "consistent": consistent,
         "equations": P.dim * (P.dim + 1) // 2,
         "facets": P.nfacets,
     }
     if args.dump_bang:
-        doc["bang"] = ff.bang_to_doc(build(P))
-    _emit(doc, f"rank {r}, consistent={doc['consistent']}", started)
+        doc["bang"] = ff.bang_to_doc(system)
+    _emit(doc, f"rank {r}, consistent={consistent}", started)
     return 0
 
 

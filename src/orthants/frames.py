@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .context import Context
-from .matrix import Mat, rank, solve_linear
+from .matrix import Mat, pivot_columns
 from .polyhedra import Polyhedron, require_nondegenerate
 
 
@@ -59,9 +59,21 @@ def build(P: Polyhedron) -> BangSystem:
     return system_from_normals([P.A.row(i) for i in range(P.nfacets)], P.ctx)
 
 
+def rank_and_consistency(system: BangSystem) -> tuple:
+    """(rank Q, whether Q t = c is solvable) from one echelon pass on [Q | c].
+
+    rank Q counts the pivots left of the rhs column, and the system is
+    solvable exactly when the rhs column takes no pivot.
+    """
+    Q = system.Q
+    aug = Mat(tuple(row + (ci,) for row, ci in zip(Q.data, system.c)), Q.ctx)
+    pivots = pivot_columns(aug)
+    return sum(p < Q.cols for p in pivots), Q.cols not in pivots
+
+
 def poly_rank(P: Polyhedron) -> int:
     """rank Q; satisfies n <= rank <= n(n+1)/2 for nondegenerate inputs."""
-    return rank(build(P).Q)
+    return rank_and_consistency(build(P))[0]
 
 
 def is_consistent(P: Polyhedron) -> bool:
@@ -70,5 +82,4 @@ def is_consistent(P: Polyhedron) -> bool:
     Orthant polyhedra always pass this test; the converse fails, so this is
     the cheap necessary condition, not the decision.
     """
-    B = build(P)
-    return solve_linear(B.Q, list(B.c)) is not None
+    return rank_and_consistency(build(P))[1]

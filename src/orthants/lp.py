@@ -1,8 +1,18 @@
 """Exact linear programming with certificates.
 
-The engine is a dense two-phase simplex over the scalar backend, pivoting
-by Bland's rule (smallest eligible index enters, ratio ties broken by the
-smallest basic index), which guarantees termination in exact arithmetic.
+The engine is a dense two-phase simplex, pivoting by Bland's rule
+(smallest eligible index enters, ratio ties broken by the smallest basic
+index).  On the exact backend floats choose the basis and exact arithmetic
+proves it (Applegate, Cook, Dash & Espinoza 2007; Gleixner, Steffy &
+Wolter 2016): the simplex first runs on float copies of the data, and only
+its final basis is kept.  Two fraction-free solves with that basis give
+the primal point and the dual vector, and the answer is accepted only when
+they pass the exact optimality or Farkas checks below.  Whenever the float
+run or a check fails, the same LP runs through the exact Bland simplex,
+which terminates in exact arithmetic and is the reference route.  No float
+number reaches an exact answer.  The float backend runs the simplex once,
+in floats.
+
 Every outcome carries an exactly checkable object: an optimal point with
 its dual vector, a Farkas ray proving infeasibility, or an improving ray
 proving unboundedness.
@@ -20,9 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .context import Context, Scalar
+from .context import FLOAT, Context, Scalar
 from .errors import OrthantsError, ShapeMismatch
-from .matrix import Mat, dot, primitive
+from .matrix import Mat, dot, primitive, solve_linear
 
 _MAX_PIVOTS = 200_000
 
@@ -164,8 +174,8 @@ class _Tableau:
         self.basis[r] = e
 
     def bland(self, costs, allowed_width):
-        """Run Bland pivoting; return the final z-line, or an entering column
-        index (as ('unbounded', e, z)) when no ratio limits the step."""
+        """Run Bland pivoting; return (z-line, None) at an optimum, or
+        (z-line, e) when no ratio limits the step of entering column e."""
         ctx = self.ctx
         z = self.zline(costs)
         for _ in range(_MAX_PIVOTS):
@@ -175,7 +185,7 @@ class _Tableau:
                     enter = j
                     break
             if enter is None:
-                return ("optimal", z)
+                return z, None
             leave = None
             best = None
             for i in range(len(self.T)):
@@ -188,9 +198,39 @@ class _Tableau:
                         best = ratio
                         leave = i
             if leave is None:
-                return ("unbounded", enter, z)
+                return z, enter
             self.pivot(leave, enter, z)
         raise OrthantsError("simplex pivot limit exceeded")
+
+    def two_phase(self, c):
+        """Phase 1 from the artificial basis, then phase 2 for objective c.
+
+        Returns (status, costs, z, enter).  status is "infeasible" (phase 1
+        ends below 0), "stopped" (phase 1 finds no optimum, which only
+        rounding can cause), "unbounded" (entering column ``enter`` has no
+        ratio limit in phase 2) or "optimal"; costs and z are the objective
+        and the z-line of the phase that ended.
+        """
+        ctx, m, n = self.ctx, self.m, self.n
+        if m:
+            phase1 = [ctx.zero()] * n + [-ctx.one()] * m
+            z, enter = self.bland(phase1, self.width)
+            if enter is not None:
+                return "stopped", phase1, z, enter
+            if ctx.sign(-z[-1]) < 0:
+                return "infeasible", phase1, z, None
+            # drive leftover artificials out of the basis where a structural
+            # column allows it; the rest sit on redundant rows and stay basic
+            for i in range(m):
+                if self.basis[i] >= n:
+                    enter = next(
+                        (j for j in range(n) if ctx.sign(self.T[i][j]) != 0), None
+                    )
+                    if enter is not None:
+                        self.pivot(i, enter, z)
+        phase2 = list(c) + [ctx.zero()] * m
+        z, enter = self.bland(phase2, n)
+        return ("optimal" if enter is None else "unbounded"), phase2, z, enter
 
     def dual(self, costs, z):
         """y = c_B B^-1 in the original row signs: on artificial column n+k
@@ -203,50 +243,113 @@ def simplex_standard(A_rows: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
                      c: Sequence[Scalar], ctx: Context):
     """Maximize c.x over {x >= 0 : A x = b}; returns Optimal/Infeasible/Unbounded.
 
-    Certificates come from the final basis alone: an Optimal carries the
-    dual y with y.b = value and y.A_j >= c_j for every column j, and an
-    Infeasible carries the negated phase-1 dual r with r.A <= 0, r.b > 0.
+    An Optimal carries the dual y with y.b = value and y.A_j >= c_j for
+    every column j, and an Infeasible carries a Farkas ray r with r.A <= 0,
+    r.b > 0.  On the exact backend both are proved from the float run's
+    basis when it passes the exact checks, and otherwise read off the final
+    tableau of the exact Bland run.
     """
-    m = len(A_rows)
+    if ctx.is_exact:
+        try:
+            return _prove_basis(A_rows, b, c, ctx, *_float_guess(A_rows, b, c))
+        except (OverflowError, OrthantsError):
+            pass  # the exact Bland run below decides the LP
+    return _bland_simplex(A_rows, b, c, ctx)
+
+
+def _bland_simplex(A_rows, b, c, ctx: Context):
+    """The two-phase Bland simplex in the backend's own arithmetic.
+
+    Certificates come from the final basis alone: the dual of the phase
+    that ended, read off the z-line, is the Optimal dual, and its negation
+    in phase 1 is the Farkas ray.
+    """
     n = len(c)
     tab = _Tableau(A_rows, b, n, ctx)
-
-    if m:
-        phase1 = [ctx.zero()] * n + [-ctx.one()] * m
-        res = tab.bland(phase1, tab.width)
-        if res[0] != "optimal":
-            raise OrthantsError("phase-1 objective cannot be unbounded")
-        z = res[1]
-        if ctx.sign(-z[-1]) < 0:
-            return Infeasible(tuple(-v for v in tab.dual(phase1, z)))
-        # drive leftover artificials out of the basis where a structural
-        # column allows it; the rest sit on redundant rows and stay basic
-        for i in range(m):
-            if tab.basis[i] >= n:
-                enter = next(
-                    (j for j in range(n) if ctx.sign(tab.T[i][j]) != 0), None
-                )
-                if enter is not None:
-                    tab.pivot(i, enter, z)
-
-    phase2 = list(c) + [ctx.zero()] * m
-    res = tab.bland(phase2, n)
-    if res[0] == "unbounded":
-        enter = res[1]
+    status, costs, z, enter = tab.two_phase(c)
+    if status == "stopped":
+        raise OrthantsError("phase-1 objective cannot be unbounded")
+    if status == "infeasible":
+        return Infeasible(tuple(-v for v in tab.dual(costs, z)))
+    if status == "unbounded":
         ray = [ctx.zero()] * n
         ray[enter] = ctx.one()
         for i, bi in enumerate(tab.basis):
             if bi < n:
                 ray[bi] = -tab.T[i][enter]
         return Unbounded(tuple(ray))
-    z = res[1]
     x = [ctx.zero()] * n
     for i, bi in enumerate(tab.basis):
         if bi < n:
             x[bi] = tab.T[i][-1]
     if ctx.is_exact:
         _check_exact(A_rows, b, x)
-    return Optimal(tuple(x), -z[-1], tuple(tab.dual(phase2, z)))
+    return Optimal(tuple(x), -z[-1], tuple(tab.dual(costs, z)))
+
+
+def _float_guess(A_rows, b, c):
+    """(status, basis, row flips) of the simplex run on float copies.
+
+    Raises OverflowError when an entry is beyond float range and
+    OrthantsError at the pivot limit.
+    """
+    tab = _Tableau(
+        [[float(v) for v in row] for row in A_rows], [float(v) for v in b], len(c), FLOAT
+    )
+    status = tab.two_phase([float(v) for v in c])[0]
+    return status, tab.basis, tab.flip
+
+
+def _prove_basis(A_rows, b, c, ctx: Context, status, basis, flip):
+    """The exact outcome that a guessed basis proves; raises OrthantsError
+    when the guess proves nothing.
+
+    Column n+k of the basis is the artificial of row k, flip[k] e_k in the
+    original row signs.  An "infeasible" guess yields r = -y from y B = c_B
+    with the phase-1 costs (-1 on artificials), accepted when r.A_j <= 0
+    for every column and r.b > 0.  An "optimal" guess yields x_B from
+    B x_B = b and y from y B = c_B, accepted when x >= 0, every basic
+    artificial is exactly 0, A x = b, y.A_j >= c_j for every column j and
+    y.b = c.x, which proves x optimal and y dual optimal.  A singular
+    basis fails when its system has no solution; if its solutions pass
+    every check anyway, they are a proof all the same.
+    """
+    m, n = len(A_rows), len(c)
+    zero = ctx.zero()
+    columns = [[row[j] for row in A_rows] for j in range(n)]
+    Bt = Mat(
+        tuple(
+            tuple(columns[j]) if j < n
+            else tuple(flip[j - n] if i == j - n else zero for i in range(m))
+            for j in basis
+        ),
+        ctx,
+    )
+    if status == "infeasible":
+        y = solve_linear(Bt, [-ctx.one() if j >= n else zero for j in basis])
+        if y is None:
+            raise OrthantsError("guessed basis is singular")
+        r = [-v for v in y]
+        if any(dot(r, col) > 0 for col in columns) or dot(r, b) <= 0:
+            raise OrthantsError("guessed basis gives no Farkas ray")
+        return Infeasible(tuple(r))
+    if status != "optimal":
+        raise OrthantsError(f"float simplex ended {status}")
+    x_B = solve_linear(Bt.transpose(), b)
+    y = solve_linear(Bt, [c[j] if j < n else zero for j in basis])
+    if x_B is None or y is None:
+        raise OrthantsError("guessed basis is singular")
+    x = [zero] * n
+    for j, v in zip(basis, x_B):
+        if j < n:
+            x[j] = v
+        elif v != 0:
+            raise OrthantsError("guessed basis keeps an artificial above 0")
+    _check_exact(A_rows, b, x)
+    value = dot(c, x)
+    if any(dot(y, col) < cj for col, cj in zip(columns, c)) or dot(y, b) != value:
+        raise OrthantsError("guessed basis is not optimal")
+    return Optimal(tuple(x), value, tuple(y))
 
 
 def _check_exact(A_rows, b, x):

@@ -1,11 +1,32 @@
 """The command line as a user runs it: exit codes, stdout JSON, stderr errors."""
 
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+
+from conftest import rational_rotation
+from oracles import rref_rank
+from orthants import (
+    Polyhedron,
+    build,
+    cli,
+    generate_cross_polytope,
+    generate_cube,
+    generate_max_rank_orthant,
+    lp,
+)
+from orthants.context import EXACT
+from orthants.fileformats import bang_to_doc, polyhedron_to_text
+from orthants.hedgehogs import reduce as reduce_hedgehog
+
+FAMILIES = {
+    "cube": generate_cube, "cross": generate_cross_polytope, "endgo": generate_max_rank_orthant,
+}
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -18,6 +39,78 @@ def orthants(*argv, stdin=""):
         input=stdin, capture_output=True, text=True, env=env, timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def in_process(monkeypatch, capsys, *argv, stdin=""):
+    """Run the CLI in this interpreter: (exit code, stdout)."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def rotated_text(kind, n, seed):
+    """A family member turned by a rational Cayley rotation, as input text."""
+    P = FAMILIES[kind](n)
+    R = rational_rotation(random.Random(seed), n)
+    rows = [R.matvec(P.A.row(i)) for i in range(P.nfacets)]
+    return polyhedron_to_text(Polyhedron.from_rows(rows, P.b, EXACT))
+
+
+# endgo 5 under rotation seed 2 is an input whose float phase 1 stops without
+# an optimum, so its LP is answered by the exact Bland route
+FALLBACK_INPUT = ("endgo", 5, 2)
+
+
+@pytest.mark.parametrize(
+    "kind, n, seed", [("cube", 3, 1), ("cross", 3, 2), ("endgo", 3, 3), FALLBACK_INPUT]
+)
+def test_is_orthant_stdout_is_byte_stable_on_rotated_inputs(kind, n, seed):
+    text = rotated_text(kind, n, seed)
+    first = orthants("is-orthant", "-", stdin=text)
+    second = orthants("is-orthant", "-", stdin=text)
+    assert first[0] == 0, first[2]
+    assert first[1] == second[1]
+    assert json.loads(first[1])["verdict"] == "Positive"
+
+
+def test_rotated_endgo5_takes_the_bland_fallback(monkeypatch, capsys):
+    bland = lp._bland_simplex
+    runs = []
+
+    def counted(*args):
+        runs.append(args)
+        return bland(*args)
+
+    monkeypatch.setattr(lp, "_bland_simplex", counted)
+    text = rotated_text(*FALLBACK_INPUT)
+    code, out = in_process(monkeypatch, capsys, "is-orthant", "-", stdin=text)
+    assert code == 0 and len(runs) == 1
+    assert out == orthants("is-orthant", "-", stdin=text)[1]
+
+
+def test_verdicts_and_ranks_match_the_exact_route(monkeypatch, capsys):
+    def no_guess(A, b, c):
+        raise OverflowError("no float guess")
+
+    for kind, gen in FAMILIES.items():
+        for n in range(2, 7):
+            P = gen(n)
+            text = polyhedron_to_text(P)
+            code, out = in_process(monkeypatch, capsys, "is-orthant", "-", stdin=text)
+            verdict = json.loads(out)["verdict"]
+            with monkeypatch.context() as m:
+                m.setattr(lp, "_float_guess", no_guess)
+                expected = lp.decide_positive(build(reduce_hedgehog(P)[1])).verdict
+            assert verdict == expected == "Positive" and code == 0, (kind, n)
+            _, out = in_process(monkeypatch, capsys, "rank", "-", stdin=text)
+            doc = json.loads(out)
+            B = build(P)
+            assert doc["rank"] == rref_rank(B.Q.data), (kind, n)
+            assert doc["consistent"] is True
+            _, out = in_process(monkeypatch, capsys, "--dump-bang", "rank", "-", stdin=text)
+            dumped = json.loads(out)
+            assert dumped.pop("bang") == json.loads(json.dumps(bang_to_doc(B)))
+            assert dumped == doc
 
 
 def test_decompose_endgo4_beyond_twelve_needles():

@@ -14,8 +14,8 @@ from orthants import (
     rank,
 )
 from orthants.context import EXACT, FLOAT
-from orthants.frames import coordinate_pairs, system_from_normals
-from oracles import solve_any
+from orthants.frames import BangSystem, coordinate_pairs, rank_and_consistency, system_from_normals
+from oracles import rref_rank, solve_any
 from conftest import random_needles_2d, rational_rotation
 
 
@@ -91,6 +91,52 @@ class TestConsistency:
         B = build(P)
         direct = solve_any([list(r) for r in B.Q.data], list(B.c))
         assert is_consistent(P) == (direct is not None)
+
+
+def oracle_rank_and_consistency(Q_rows, c):
+    """rank Q by plain row reduction; solvable when appending c keeps the rank."""
+    r = rref_rank(Q_rows)
+    return r, rref_rank([list(row) + [ci] for row, ci in zip(Q_rows, c)]) == r
+
+
+class TestOneEchelonPass:
+    """rank_and_consistency reads rank Q and solvability off one pass on [Q | c]."""
+
+    def test_families_against_row_reduction(self):
+        for gen in (generate_cube, generate_cross_polytope, generate_max_rank_orthant):
+            for n in range(2, 7):
+                for ctx in (EXACT, FLOAT):
+                    B = build(gen(n, ctx))
+                    exact = build(gen(n))
+                    expected = oracle_rank_and_consistency(exact.Q.data, exact.c)
+                    assert rank_and_consistency(B) == expected, (gen.__name__, n, ctx)
+
+    def test_random_systems_against_row_reduction(self):
+        rng = random.Random(10)
+        outcomes = set()
+        for _ in range(200):
+            cols = rng.randint(1, 7)
+            base = [
+                [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
+                for _ in range(rng.randint(1, 4))
+            ]
+            rows = list(base)
+            for _ in range(rng.randint(0, 3)):
+                coeffs = [rng.randint(-2, 2) for _ in base]
+                rows.append([sum(k * r[j] for k, r in zip(coeffs, base)) for j in range(cols)])
+            rng.shuffle(rows)
+            if rng.random() < 0.5:
+                t = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
+                c = [sum(a * b for a, b in zip(row, t)) for row in rows]
+            else:
+                c = [Fraction(rng.randint(-3, 3)) for _ in rows]
+            B = BangSystem(
+                tuple((i, i) for i in range(len(rows))), Mat.from_rows(rows, EXACT), tuple(c)
+            )
+            expected = oracle_rank_and_consistency(rows, c)
+            assert rank_and_consistency(B) == expected
+            outcomes.add(expected[1])
+        assert outcomes == {True, False}
 
 
 class TestInvariance:

@@ -15,6 +15,7 @@ from orthants import (
     solve,
     verify_outcome,
 )
+from orthants import lp
 from orthants.context import Context, EXACT, FLOAT
 from orthants.frames import BangSystem, coordinate_pairs, system_from_normals
 from orthants.lp import simplex_standard
@@ -200,33 +201,133 @@ def random_redundant_lp(rng):
     return rows, b, c
 
 
+def assert_certified(rows, b, c, res):
+    """Check an outcome's certificate by exact arithmetic alone."""
+    columns = list(zip(*rows))
+    if isinstance(res, Optimal):
+        y = res.dual
+        assert all(v >= 0 for v in res.x)
+        assert [dot(row, res.x) for row in rows] == list(b)
+        assert dot(c, res.x) == res.value
+        assert dot(y, b) == res.value
+        assert all(dot(y, col) >= cj for col, cj in zip(columns, c))
+    elif isinstance(res, Infeasible):
+        r = res.dual_ray
+        assert all(dot(r, col) <= 0 for col in columns)
+        assert dot(r, b) > 0
+    else:
+        d = res.primal_ray
+        assert all(v >= 0 for v in d)
+        assert all(dot(row, d) == 0 for row in rows)
+        assert dot(c, d) > 0
+
+
 class TestSimplexCertificates:
-    def test_certificates_hold_with_redundant_rows(self):
+    def test_certificates_hold_with_redundant_rows(self, monkeypatch):
         # dependent rows leave artificials basic after phase 1; this seed's
-        # stream includes LPs where they end up on rows other than their own
+        # stream includes LPs where they end up on rows other than their own.
+        # Each LP also runs through the plain exact Bland route, which must
+        # give the same outcome class and optimal value.
+        bland = lp._bland_simplex
+        fallbacks = []
+
+        def counted(*args):
+            fallbacks.append(args)
+            return bland(*args)
+
+        monkeypatch.setattr(lp, "_bland_simplex", counted)
         rng = random.Random(5)
         seen = {Optimal: 0, Infeasible: 0, Unbounded: 0}
         for _ in range(500):
             rows, b, c = random_redundant_lp(rng)
             res = simplex_standard(rows, b, c, EXACT)
+            ref = bland(rows, b, c, EXACT)
             seen[type(res)] += 1
-            columns = list(zip(*rows))
+            assert type(res) is type(ref)
             if isinstance(res, Optimal):
-                y = res.dual
-                assert [dot(row, res.x) for row in rows] == b
-                assert dot(c, res.x) == res.value
-                assert dot(y, b) == res.value
-                assert all(dot(y, col) >= cj for col, cj in zip(columns, c))
-            elif isinstance(res, Infeasible):
-                r = res.dual_ray
-                assert all(dot(r, col) <= 0 for col in columns)
-                assert dot(r, b) > 0
-            else:
-                d = res.primal_ray
-                assert all(v >= 0 for v in d)
-                assert all(dot(row, d) == 0 for row in rows)
-                assert dot(c, d) > 0
+                assert res.value == ref.value
+            assert_certified(rows, b, c, res)
+            assert_certified(rows, b, c, ref)
         assert min(seen.values()) > 20  # every outcome is exercised
+        # an Unbounded always comes from the Bland run; on this stream every
+        # other outcome is proved from the float run's basis
+        assert len(fallbacks) == seen[Unbounded]
+
+
+# max x1 + 2 x2 + x5 s.t. x1 + x2 + x3 + 2 x5 = 4, x1 - x2 + x4 + 2 x5 = 2:
+# the optimum is x2 = 4, x4 = 6 with value 8 and dual (2, 0); column x5 is
+# twice column x1, and basis indices 5 and 6 (zero-based) are the artificials
+GUESS_LP = (
+    [[Fraction(v) for v in row] for row in ([1, 1, 1, 0, 2], [1, -1, 0, 1, 2])],
+    [Fraction(4), Fraction(2)],
+    [Fraction(v) for v in (1, 2, 0, 0, 1)],
+)
+
+
+# max -x1 - x2 s.t. x1 - x2 = 1: the basis {x2} has the feasible dual y = 1
+# but x2 = -1
+NEGATIVE_LP = ([[Fraction(1), Fraction(-1)]], [Fraction(1)], [Fraction(-1), Fraction(-1)])
+
+
+class TestFloatGuess:
+    """The float run only proposes a basis; every bad proposal falls back to
+    the exact Bland route, and a good one is proved without it."""
+
+    def test_good_guess_needs_no_bland_run(self, monkeypatch):
+        def no_bland(*args):
+            raise AssertionError("the exact Bland route ran")
+
+        monkeypatch.setattr(lp, "_bland_simplex", no_bland)
+        res = simplex_standard(*GUESS_LP, EXACT)
+        assert res == Optimal((0, 4, 0, 6, 0), 8, (2, 0))
+        infeasible = ([[Fraction(1), Fraction(1)]], [Fraction(-1)], [Fraction(0)] * 2)
+        assert_certified(*infeasible, simplex_standard(*infeasible, EXACT))
+
+    @pytest.mark.parametrize(
+        "problem, guess",
+        [
+            (GUESS_LP, ("stopped", [5, 6], [1, 1])),
+            (GUESS_LP, ("optimal", [0, 4], [1, 1])),
+            (GUESS_LP, ("optimal", [2, 3], [1, 1])),
+            (GUESS_LP, ("optimal", [1, 6], [1, 1])),
+            (NEGATIVE_LP, ("optimal", [1], [1])),
+            (GUESS_LP, ("infeasible", [2, 3], [1, 1])),
+            (GUESS_LP, ("unbounded", [2, 3], [1, 1])),
+        ],
+        ids=[
+            "phase-1-stopped", "singular-basis", "feasible-not-optimal",
+            "artificial-above-zero", "negative-primal", "false-infeasible",
+            "false-unbounded",
+        ],
+    )
+    def test_bad_guess_falls_back_to_bland(self, monkeypatch, problem, guess):
+        # the artificial-above-zero and negative-primal bases have a
+        # feasible dual y with y.b = c.x, so only the primal checks refuse them
+        monkeypatch.setattr(lp, "_float_guess", lambda A, b, c: guess)
+        res = simplex_standard(*problem, EXACT)
+        assert res == lp._bland_simplex(*problem, EXACT)
+        assert_certified(*problem, res)
+
+    def test_overflow_in_the_guess_falls_back_to_bland(self, monkeypatch):
+        def overflow(A, b, c):
+            raise OverflowError("integer too large to convert to float")
+
+        monkeypatch.setattr(lp, "_float_guess", overflow)
+        res = simplex_standard(*GUESS_LP, EXACT)
+        assert res == lp._bland_simplex(*GUESS_LP, EXACT)
+
+    def test_entry_beyond_float_range(self):
+        # float(10**400 / 3) overflows, so only the exact route can answer
+        big = Fraction(10**400, 3)
+        rows = [[big, Fraction(1), Fraction(0)], [Fraction(1), Fraction(0), Fraction(1)]]
+        b = [Fraction(10**400), Fraction(5)]
+        c = [Fraction(1), Fraction(0), Fraction(0)]
+        with pytest.raises(OverflowError):
+            lp._float_guess(rows, b, c)
+        res = simplex_standard(rows, b, c, EXACT)
+        assert res == lp._bland_simplex(rows, b, c, EXACT)
+        assert res.value == 3
+        assert_certified(rows, b, c, res)
 
 
 def random_bang(rng, max_rows=4, max_cols=6):
