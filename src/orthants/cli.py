@@ -11,6 +11,7 @@ Exit codes: 0 for a positive decision (or plain success), 1 when
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -272,7 +273,9 @@ def _cmd_cone(args) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The one argument parser of the process; parse_args leaves it unchanged."""
     top = argparse.ArgumentParser(
         prog="orthants",
         description="Decide and certify realizations of polyhedra as orthant sections.",

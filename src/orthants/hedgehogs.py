@@ -148,51 +148,57 @@ def _staircase_rotation(needles, n, ctx):
 # canonical polyhedron: offsets -1, minimality certified by tangent points
 
 
-def _minimality_ok(rows, ctx) -> bool:
-    # row j is strictly slack at the tight point of row i  <=>  a_i.a_j < a_i.a_i
-    norms = [dot(r, r) for r in rows]
-    for i, u in enumerate(rows):
-        for j, v in enumerate(rows):
-            if i != j and ctx.sign(dot(u, v) - norms[i]) >= 0:
+def _tangent_minimal(G, s) -> bool:
+    # rows a_i = v_i k / s_i; row j is strictly slack at the tight point of
+    # row i  <=>  a_i.a_j < a_i.a_i  <=>  G_ij s_i < G_ii s_j
+    m = len(G)
+    for i in range(m):
+        for j in range(m):
+            if i != j and G[i][j] * s[i] >= G[i][i] * s[j]:
                 return False
     return True
 
 
-def _near_unit_rows(primitives, ctx):
-    """Scale primitive needles close enough to unit length that offsets -1
-    give a provably minimal system; precision is a function of the
-    direction set only, so the result is canonical."""
-    norms = [int(dot(v, v)) for v in primitives]
+def _near_unit_scales(G):
+    """(k, s) with rows v_i k / s_i close enough to unit length that offsets
+    -1 give a provably minimal system, where s_i = isqrt(G_ii k^2); precision
+    is a function of the direction set only, so the result is canonical."""
+    m = len(G)
     worst = Fraction(0)
-    for i in range(len(primitives)):
-        for j in range(i + 1, len(primitives)):
-            d = dot(primitives[i], primitives[j])
-            if d > 0:
-                worst = max(worst, Fraction(d * d, norms[i] * norms[j]))
-    spread = Fraction(1) - worst  # strictly positive: needles deduplicated
+    for i in range(m):
+        for j in range(i + 1, m):
+            if G[i][j] > 0:
+                worst = max(worst, Fraction(G[i][j] * G[i][j], G[i][i] * G[j][j]))
+    spread = 1 - worst  # strictly positive: needles deduplicated
     k = 1 << 10
-    while Fraction(16) > k * spread:
+    while 16 > k * spread:
         k <<= 1
     for _ in range(64):
-        rows = []
-        for v, nv in zip(primitives, norms):
-            s = isqrt(nv * k * k)
-            rows.append(tuple(x * Fraction(k, s) for x in v))
-        if _minimality_ok(rows, ctx):
-            return rows
+        s = [isqrt(G[i][i] * k * k) for i in range(m)]
+        if _tangent_minimal(G, s):
+            return k, s
         k <<= 1
     raise BrokenInvariant("reduce: near-unit scaling did not certify a minimal system")
 
 
 def canonical_polyhedron(h: Hedgehog) -> Polyhedron:
-    """The representative system of a hedgehog: its needles with offsets -1."""
+    """The representative system of a hedgehog: its needles with offsets -1.
+
+    Exact needles are primitive integer vectors v_i with integer Gram
+    matrix G.  They are kept unscaled when the integer test
+    G_ij s_i < G_ii s_j holds with every s_i = 1; otherwise row i is
+    v_i k / s_i for the scales of ``_near_unit_scales``, and the Fraction
+    rows are built only for that k.  Float needles are unit vectors and
+    already tangent to the unit sphere.
+    """
     ctx = h.ctx
+    rows = list(h.needles)
     if ctx.is_exact:
-        rows = list(h.needles)
-        if not _minimality_ok(rows, ctx):
-            rows = _near_unit_rows(rows, ctx)
-    else:
-        rows = list(h.needles)  # unit needles: tangent to the unit sphere
+        ints = [[x.numerator for x in v] for v in rows]
+        G = [[dot(u, v) for v in ints] for u in ints]
+        if not _tangent_minimal(G, [1] * len(G)):
+            k, s = _near_unit_scales(G)
+            rows = [tuple(x * Fraction(k, si) for x in v) for v, si in zip(rows, s)]
     minus_one = -ctx.one()
     return Polyhedron.from_rows(rows, [minus_one] * len(rows), ctx, minimal=True)
 

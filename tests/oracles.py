@@ -1,16 +1,19 @@
 """Independent reference implementations used only to cross-check the package.
 
-Everything here is deliberately self-contained (fractions + itertools
-only), so agreement with the library is a genuine two-route check: plain
-rational row reduction for ranks and solutions, the permutation expansion
-for determinants, and Fourier-Motzkin
+Everything here is deliberately self-contained (fractions, itertools and
+math.isqrt only), so agreement with the library is a genuine two-route
+check: plain rational row reduction for ranks and solutions, the
+permutation expansion for determinants, Sylvester's principal minors for
+semidefiniteness, the Fraction definition of the canonical rows of a
+hedgehog, and Fourier-Motzkin
 elimination for three questions: does Q t = c have a strictly positive
 solution (after Gaussian substitution), does A x > b have a solution, and
 what is the minimum of f.x over A x >= b.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from math import isqrt
 
 
 def rref_rank(rows):
@@ -201,3 +204,67 @@ def functional_minimum(rows, offsets, f):
 
 def squared_distance(u, v):
     return sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(u, v))
+
+
+def positive_semidefinite(rows):
+    """Sylvester's test: every principal minor >= 0, each by the
+    permutation expansion."""
+    m = len(rows)
+    return all(
+        permutation_det([[rows[i][j] for j in subset] for i in subset]) >= 0
+        for size in range(1, m + 1)
+        for subset in combinations(range(m), size)
+    )
+
+
+def doubly_nonnegative(rows):
+    """Every entry >= 0, and positive semidefinite by Sylvester's test."""
+    return all(Fraction(x) >= 0 for row in rows for x in row) and positive_semidefinite(rows)
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _tangent_minimal(rows):
+    """Row j is strictly slack at the point where row i is tight, for every
+    ordered pair: a_i.a_j < a_i.a_i."""
+    norms = [_dot(r, r) for r in rows]
+    return all(
+        _dot(u, v) < norms[i]
+        for i, u in enumerate(rows)
+        for j, v in enumerate(rows)
+        if i != j
+    )
+
+
+def canonical_rows(needles):
+    """(rows, k) of the canonical system of primitive integer needles v_i.
+
+    The Fraction definition: the needles themselves (k None) when they
+    pass the tangent test; otherwise rows v_i k / isqrt(|v_i|^2 k^2), with
+    k doubled from 2^10 until k (1 - max cos^2) >= 16 and then doubled
+    again until the scaled rows pass the test.
+    """
+    rows = [tuple(Fraction(x) for x in v) for v in needles]
+    if _tangent_minimal(rows):
+        return rows, None
+    norms = [_dot(v, v) for v in rows]
+    worst = Fraction(0)
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            d = _dot(rows[i], rows[j])
+            if d > 0:
+                worst = max(worst, d * d / (norms[i] * norms[j]))
+    k = 1 << 10
+    while 16 > k * (1 - worst):
+        k <<= 1
+    for _ in range(64):
+        scaled = [
+            tuple(x * Fraction(k, isqrt(int(n) * k * k)) for x in v)
+            for v, n in zip(rows, norms)
+        ]
+        if _tangent_minimal(scaled):
+            return scaled, k
+        k <<= 1
+    raise AssertionError("no scale certified the canonical rows")

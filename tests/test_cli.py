@@ -172,3 +172,40 @@ def test_malformed_input_exits_2_without_traceback(argv, doc):
     assert err.startswith("error:")
     assert "Traceback" not in err
 
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(monkeypatch, capsys):
+    cube = polyhedron_to_text(generate_cube(2))
+    endgo = polyhedron_to_text(generate_max_rank_orthant(3))
+    # needles at 0, 45 and 90 degrees span only a quarter turn: not orthant
+    corner = polyhedron_to_text(Polyhedron.from_rows([[1, 0], [1, 1], [0, 1]], [0, -1, 0], EXACT))
+    calls = [
+        (["is-orthant", "-"], cube),
+        (["--backend", "float", "is-orthant", "-"], cube),
+        (["rank", "-"], endgo),
+        (["--backend", "float", "--tol", "1e-6", "rank", "-"], endgo),
+        (["is-orthant", "-"], corner),
+        (["--dump-bang", "is-orthant", "-"], cube),
+        (["is-orthant", "-"], cube),
+        (["--dump-bang", "rank", "-"], endgo),
+        (["rank", "-"], endgo),
+        (["--affine", "embed", "-"], cube),
+        (["embed", "-"], cube),
+        (["gen", "cube", "2"], ""),
+        (["--backend", "quad", "rank", "-"], cube),
+        (["rank", "-"], cube),
+        (["embed", "-"], endgo),
+    ]
+    assert cli._parser() is cli._parser()
+    codes = set()
+    for argv, text in calls:
+        alone = orthants(*argv, stdin=text)[:2]
+        try:
+            shared = in_process(monkeypatch, capsys, *argv, stdin=text)
+        except SystemExit as exc:
+            shared = (exc.code, capsys.readouterr().out)
+        assert shared == alone, argv
+        codes.add(shared[0])
+        if "--dump-bang" not in argv and shared[1]:
+            assert "bang" not in json.loads(shared[1]), argv
+    assert codes == {0, 1, 2}

@@ -11,6 +11,7 @@ from orthants import (
     decide_positive,
     equal,
     from_needles,
+    generate_cross_polytope,
     generate_cube,
     generate_max_rank_orthant,
     is_subhedgehog,
@@ -23,6 +24,7 @@ from orthants.errors import DegeneratePolyhedron, DimensionMismatch, TooManyNeed
 from orthants.hedgehogs import Hedgehog, canonical_needle
 from orthants.matrix import dot
 from conftest import rand_frac, random_needles_2d, rational_rotation
+from oracles import canonical_rows
 
 
 def regular_polygon_needles(k):
@@ -90,6 +92,52 @@ class TestReduce:
         assert h.staircase
         # first needle rotated onto the first axis
         assert h.needles[0] == (1, 0)
+
+
+def same_rows_as_oracle(h):
+    """canonical_polyhedron(h) has exactly the oracle's rows; returns its k."""
+    rows, k = canonical_rows(h.needles)
+    sy = canonical_polyhedron(h)
+    assert [sy.A.row(i) for i in range(sy.nfacets)] == rows
+    assert list(sy.b) == [-1] * len(rows)
+    return k
+
+
+class TestCanonicalRows:
+    """The integer minimality test against the Fraction definition."""
+
+    @pytest.mark.parametrize(
+        "gen", [generate_cube, generate_cross_polytope, generate_max_rank_orthant]
+    )
+    def test_gen_families(self, gen):
+        for n in range(2, 7):
+            h, _ = reduce(gen(n))
+            same_rows_as_oracle(h)
+
+    def test_random_needle_sets(self):
+        rng = random.Random(11)
+        scaled = 0
+        for _ in range(300):
+            n = rng.randint(2, 4)
+            dirs = [
+                [rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(2, n + 4))
+            ]
+            dirs = [v for v in dirs if any(v)]
+            if dirs:
+                scaled += same_rows_as_oracle(from_needles(dirs, n, EXACT)) is not None
+        assert 50 < scaled < 300
+
+    def test_tie_is_not_minimal(self):
+        # (1, 0).(1, 1) = (1, 0).(1, 0): the second row is tight, not slack,
+        # where the first one is, so the needles must be scaled
+        assert same_rows_as_oracle(from_needles([(1, 0), (1, 1)], 2, EXACT)) is not None
+
+    def test_near_parallel_needles_double_k(self):
+        for N in (5, 8, 13, 21, 34, 55, 89, 144):
+            k = same_rows_as_oracle(from_needles([(N, 1), (N + 1, 1), (0, 1)], 2, EXACT))
+            assert k >= 1 << 13
+        k = same_rows_as_oracle(from_needles([(40, 1, 1), (41, 1, 1), (40, 1, 2)], 3, EXACT))
+        assert k >= 1 << 13
 
 
 class TestEqual:
