@@ -162,7 +162,13 @@ def _tangent_minimal(G, s) -> bool:
 def _near_unit_scales(G):
     """(k, s) with rows v_i k / s_i close enough to unit length that offsets
     -1 give a provably minimal system, where s_i = isqrt(G_ii k^2); precision
-    is a function of the direction set only, so the result is canonical."""
+    is a function of the direction set only, so the result is canonical.
+
+    k is the first power of two from 2^10 with k (1 - max cos^2) >= 16.
+    Then cos <= 1 - 8/k for every pair, while |a_i| >= 1 and
+    |a_j| <= 1 / (1 - 1/k), so |a_j| cos < |a_i| and one try always passes;
+    the integer test still runs, and a failure is a broken invariant.
+    """
     m = len(G)
     worst = Fraction(0)
     for i in range(m):
@@ -173,12 +179,10 @@ def _near_unit_scales(G):
     k = 1 << 10
     while 16 > k * spread:
         k <<= 1
-    for _ in range(64):
-        s = [isqrt(G[i][i] * k * k) for i in range(m)]
-        if _tangent_minimal(G, s):
-            return k, s
-        k <<= 1
-    raise BrokenInvariant("reduce: near-unit scaling did not certify a minimal system")
+    s = [isqrt(G[i][i] * k * k) for i in range(m)]
+    if not _tangent_minimal(G, s):
+        raise BrokenInvariant("reduce: near-unit scaling did not certify a minimal system")
+    return k, s
 
 
 def canonical_polyhedron(h: Hedgehog) -> Polyhedron:

@@ -123,9 +123,10 @@ def proportional(u: Sequence[Scalar], v: Sequence[Scalar], ctx: Context) -> Opti
     return None
 
 
-def _echelon(M: Mat, rhs: Optional[Sequence[Scalar]] = None):
-    """Gauss-Jordan on [M | rhs]: (reduced rows, pivot columns, swap sign, row scale).
+def _echelon(M: Mat, rhs: Sequence[Sequence[Scalar]] = (), width: Optional[int] = None):
+    """Gauss-Jordan on [M | rhs columns]: (reduced rows, pivot columns, swap sign, row scale).
 
+    Pivots are searched in the first ``width`` columns (all by default).
     Every pivot column is cleared above and below its pivot, and the k-th
     pivot sits in row k; rows are not normalised.  On the exact backend
     each row is first scaled to integers (``scale`` is the product of the
@@ -137,8 +138,9 @@ def _echelon(M: Mat, rhs: Optional[Sequence[Scalar]] = None):
     """
     ctx = M.ctx
     rows = M.data
-    if rhs is not None:
-        rows = [row + (ctx.coerce(b),) for row, b in zip(rows, rhs)]
+    if rhs:
+        cols = [[ctx.coerce(b) for b in col] for col in rhs]
+        rows = [row + bs for row, bs in zip(rows, zip(*cols))]
     exact = ctx.is_exact
     scale = 1
     if exact:
@@ -150,7 +152,7 @@ def _echelon(M: Mat, rhs: Optional[Sequence[Scalar]] = None):
     else:
         a = [list(map(float, row)) for row in rows]
     m = len(a)
-    n = len(a[0]) if m else 0
+    n = (len(a[0]) if m else 0) if width is None else width
     pivots = []
     sign = 1
     prev = 1
@@ -205,19 +207,32 @@ def solve_linear(M: Mat, rhs: Sequence[Scalar]) -> Optional[list]:
     """One solution of M x = rhs, or None when inconsistent.
 
     Free variables are set to zero, so the returned particular solution is
-    reproducible.  The system is inconsistent exactly when the rhs column
-    of [M | rhs] takes a pivot.
+    reproducible.
     """
-    if len(rhs) != M.rows:
+    return solve_columns(M, [rhs])[0]
+
+
+def solve_columns(M: Mat, rhss: Sequence[Sequence[Scalar]]) -> list:
+    """solve_linear for every rhs in ``rhss``, read off one pass on [M | rhs_1 ... rhs_k].
+
+    Pivots are taken in M's columns only, so the right-hand sides never mix;
+    rhs k is consistent exactly when its column vanishes below the rank.
+    """
+    if any(len(rhs) != M.rows for rhs in rhss):
         raise ShapeMismatch("rhs length")
-    n = M.cols
-    a, pivots, _, _ = _echelon(M, rhs)
-    if pivots and pivots[-1] == n:
-        return None
-    x = [M.ctx.zero()] * n
-    for row, col in zip(a, pivots):
-        x[col] = _ratio(row[n], row[col], M.ctx)
-    return x
+    ctx, n = M.ctx, M.cols
+    a, pivots, _, _ = _echelon(M, rhss, width=n)
+    below = a[len(pivots):]
+    out = []
+    for k in range(n, n + len(rhss)):
+        if any(not ctx.is_zero(row[k]) for row in below):
+            out.append(None)
+            continue
+        x = [ctx.zero()] * n
+        for row, col in zip(a, pivots):
+            x[col] = _ratio(row[k], row[col], ctx)
+        out.append(x)
+    return out
 
 
 def kernel_basis(M: Mat) -> list:

@@ -12,9 +12,9 @@ which have one row per coordinate and one nonnegative column per
 inequality: n rows instead of m, and no free variables to split.
 Boundedness is one certified LP as well (Stiemke's alternative, below),
 with no dimension guard.  Recession rays and vertices are still found by
-enumerating row subsets; only the recession-cone padding of
-``realize_unbounded`` needs the rays, and nothing in the library needs
-the vertices.
+enumerating row subsets, but no library code calls either:
+``realize_unbounded`` tests its recession cone by Farkas LPs.  Both stay
+only because the benchmark tracer wraps them by name.
 """
 
 from __future__ import annotations

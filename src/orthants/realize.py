@@ -12,10 +12,19 @@ the identity is checked exactly, and squared image distances are rational.
 
 ``orthant_embedding`` is the paper's variant 1: P in R^m, m its facet
 count.  The realizers take variant 2 for every input and pad the system
-with enough auxiliary halfspaces: a bounded polyhedron (one LP decides
-it) joins the standard full-rank orthant family of its dimension, and an
-unbounded one joins a sheared copy controlled by its recession cone,
-provided that cone sits strictly inside the positive orthant.
+with enough auxiliary halfspaces, each certified rather than enumerated
+(Schrijver 1986, sec. 7.3 and 7.8):
+
+* One Stiemke LP decides boundedness.  A bounded polyhedron joins the
+  standard full-rank orthant family of its dimension; every added row u
+  gets a multiplier lambda >= 0 with A^T lambda = u, read off one echelon
+  pass and the Stiemke witness, and the offset lambda.b - 1 keeps it
+  strictly slack by weak duality.  No LP per row.
+* An unbounded polyhedron joins a sheared copy of the coordinate family,
+  provided its recession cone sits strictly inside the positive orthant.
+  By Farkas' lemma that is one strict-positivity LP per coordinate, and
+  the shear eps is a minimum over the rays that small LPs compute without
+  listing them; the offsets are LP minima.
 """
 
 from __future__ import annotations
@@ -31,8 +40,8 @@ from .errors import (
     RecessionNotStrictlyPositive,
     UnboundedPolyhedron,
 )
-from .matrix import Mat, dot, proportional
-from .polyhedra import Polyhedron, functional_min, is_bounded, recession_rays
+from .matrix import Mat, dot, normalize, solve_columns
+from .polyhedra import Polyhedron, _functional_min_rows, _System, boundedness, functional_min
 from .polyhedra import require_nondegenerate
 from .frames import build, system_from_normals
 from .generators import generate_max_rank_orthant
@@ -119,24 +128,64 @@ def verify_embedding(E: Embedding, sample_points=()) -> bool:
 # padding with auxiliary halfspaces
 
 
-def _pad_and_embed(P: Polyhedron, aux_normals) -> Embedding:
+def _direction_key(a, ctx: Context) -> tuple:
+    """One key per line through the origin: the normalized vector with its
+    first nonzero entry positive, rounded by ``tol`` on the float backend."""
+    d = normalize(a, ctx)
+    if next(x for x in d if ctx.sign(x) != 0) < 0:
+        d = tuple(-x for x in d)
+    return d if ctx.is_exact else tuple(round(x / ctx.tol) for x in d)
+
+
+def _multipliers(P: Polyhedron, y, added) -> list:
+    """lambda >= 0 with A^T lambda = u for every added row u, each re-checked.
+
+    One echelon pass on [A^T | U] gives mu with A^T mu = u for every u; the
+    Stiemke witness y > 0 with A^T y = 0 shifts it to lambda = mu + s y,
+    s = max(0, max_i -mu_i / y_i).  Then u.x = lambda.(A x) >= lambda.b on
+    P (weak duality), so u.x >= lambda.b - 1 is strictly slack.
+    """
+    ctx = P.ctx
+    At = P.A.transpose()
+    out = []
+    for u, mu in zip(added, solve_columns(At, added)):
+        if mu is None:
+            raise BrokenInvariant("realize: an added row is outside the row space of A")
+        s = max([ctx.zero()] + [-m / w for m, w in zip(mu, y)])
+        lam = [m + s * w for m, w in zip(mu, y)]
+        if any(ctx.sign(v) < 0 for v in lam) or not all(
+            ctx.is_zero(dot(col, lam) - v) for col, v in zip(At.data, u)
+        ):
+            raise BrokenInvariant("realize: a multiplier failed lambda >= 0, A^T lambda = u")
+        out.append(lam)
+    return out
+
+
+def _pad_and_embed(P: Polyhedron, aux_normals, stiemke=None) -> Embedding:
+    """P's rows, then every auxiliary normal whose line is new, each pushed
+    strictly below P: by multipliers when a Stiemke witness proves P bounded,
+    else by one LP per added row."""
     ctx = P.ctx
     own = [P.A.row(i) for i in range(P.nfacets)]
+    seen = {_direction_key(r, ctx) for r in own}
     added = []
     for a in aux_normals:
-        if any(proportional(a, r, ctx) is not None for r in own):
-            continue
-        if any(proportional(a, r, ctx) is not None for r in added):
-            continue
-        added.append(list(ctx.coerce(x) for x in a))
-    offsets = []
-    for a in added:
-        low = functional_min(P, a)
-        if low is None:
-            raise UnboundedPolyhedron(
-                "auxiliary functional unbounded below; recession cone violates setup"
-            )
-        offsets.append(low - ctx.one())
+        a = [ctx.coerce(x) for x in a]
+        key = _direction_key(a, ctx)
+        if key not in seen:
+            seen.add(key)
+            added.append(a)
+    if stiemke is None:
+        offsets = []
+        for a in added:
+            low = functional_min(P, a)
+            if low is None:
+                raise UnboundedPolyhedron(
+                    "auxiliary functional unbounded below; recession cone violates setup"
+                )
+            offsets.append(low - ctx.one())
+    else:
+        offsets = [dot(lam, P.b) - ctx.one() for lam in _multipliers(P, stiemke, added)]
     ext_rows = [list(r) for r in own] + added
     ext_b = list(P.b) + offsets
     system = system_from_normals(ext_rows, ctx)
@@ -155,52 +204,98 @@ def orthant_embedding(P: Polyhedron) -> Embedding | None:
     return build_embedding(P, outcome.witness_t, system) if outcome.is_positive else None
 
 
-def _pad_with_companion(P: Polyhedron) -> Embedding:
+def _pad_with_companion(P: Polyhedron, stiemke) -> Embedding:
     companion = generate_max_rank_orthant(P.dim, P.ctx)
-    return _pad_and_embed(P, [companion.A.row(i) for i in range(companion.nfacets)])
+    rows = [companion.A.row(i) for i in range(companion.nfacets)]
+    return _pad_and_embed(P, rows, stiemke)
 
 
 def realize_polytope(P: Polyhedron) -> Embedding:
     """Isometric orthant section of a bounded polyhedron, any target dimension.
 
-    Joins the facet directions with the standard full-rank orthant family,
-    pushing its offsets strictly below the polytope so that no auxiliary
-    halfspace touches it; the padded system always admits a positive
-    weighting because it contains a full-rank orthant subsystem.
+    One Stiemke LP proves P bounded with a witness y > 0, A^T y = 0.  The
+    facet directions are joined with the standard full-rank orthant family,
+    whose offsets come from multipliers shifted along y and sit strictly
+    below the polytope, so no auxiliary halfspace touches it; the padded
+    system always admits a positive weighting because it contains a
+    full-rank orthant subsystem.
     """
-    if not is_bounded(P):
+    bounded = boundedness(P)
+    if not bounded.is_positive:
         raise UnboundedPolyhedron("use realize_unbounded for unbounded inputs")
-    return _pad_with_companion(P)
+    return _pad_with_companion(P, bounded.witness_t)
+
+
+def _strictly_positive_cone(P: Polyhedron) -> bool:
+    """Whether every nonzero v with A v >= 0 is strictly positive.
+
+    By cone duality that holds exactly when every e_i lies in the interior
+    of the dual cone, which is cone(rows of A) by Farkas' lemma; with A of
+    full column rank that interior is {A^T lam : lam > 0}.  So the test is
+    one strict-positivity LP per coordinate, each Positive witness re-checked.
+    """
+    ctx = P.ctx
+    At = P.A.transpose()
+    for i in range(P.dim):
+        e = tuple(ctx.one() if k == i else ctx.zero() for k in range(P.dim))
+        system = _System(At, e)
+        outcome = lp.decide_positive(system)
+        if not outcome.is_positive:
+            return False
+        if not lp.verify_outcome(system, outcome):
+            raise BrokenInvariant("realize: a Farkas multiplier failed its re-check")
+    return True
+
+
+def _shear_eps(P: Polyhedron):
+    """min(1/2, min over recession rays r and i != j of r_i / (2 r_j)).
+
+    With every ray strictly positive, {v : A v >= 0, v_j = 1} is the
+    polytope spanned by the rays scaled to v_j = 1, so the smallest ratio
+    r_i / r_j is the minimum of v_i over it: one n-row dual LP per pair.
+    """
+    ctx = P.ctx
+    n = P.dim
+    half = Fraction(1, 2) if ctx.is_exact else 0.5
+    eps = half
+    unit = [[ctx.one() if k == i else ctx.zero() for k in range(n)] for i in range(n)]
+    own = [P.A.row(i) for i in range(P.nfacets)]
+    offsets = [ctx.zero()] * P.nfacets + [ctx.one(), -ctx.one()]
+    for j in range(n):
+        rows = own + [unit[j], [-x for x in unit[j]]]
+        for i in range(n):
+            if i == j:
+                continue
+            low = _functional_min_rows(rows, offsets, unit[i], ctx)
+            if low is None:
+                raise BrokenInvariant("realize: a ray slice v_j = 1 is empty or unbounded")
+            bound = low * half
+            if ctx.lt(bound, eps):
+                eps = bound
+    return eps
 
 
 def realize_unbounded(P: Polyhedron) -> Embedding:
-    """Orthant section of an unbounded polyhedron whose recession rays are
-    strictly positive componentwise; refuses the boundary case.  A bounded
-    input is padded as in realize_polytope, with boundedness decided once.
+    """Orthant section of a polyhedron whose recession rays are strictly
+    positive componentwise; refuses the boundary case.
 
-    The auxiliary family is x_i and x_i -+ eps x_j with eps below every
-    ratio r_i / r_j over the recession rays, which keeps all auxiliary
-    functionals bounded below on the polyhedron.
+    One Stiemke LP decides boundedness; a bounded input is padded as in
+    realize_polytope, offsets from its witness.  Otherwise n Farkas LPs
+    test the recession cone without listing its rays, and the auxiliary
+    family is x_i and x_i -+ eps x_j with eps below every ratio r_i / r_j
+    over the rays (n(n-1) more LPs), which keeps every auxiliary functional
+    bounded below on the polyhedron; its offsets are LP minima.
     """
-    if is_bounded(P):
-        return _pad_with_companion(P)
+    bounded = boundedness(P)
+    if bounded.is_positive:
+        return _pad_with_companion(P, bounded.witness_t)
+    if not _strictly_positive_cone(P):
+        raise RecessionNotStrictlyPositive(
+            "a recession ray touches the orthant boundary; this case is refused"
+        )
     ctx = P.ctx
-    cone = recession_rays(P)
-    for r in cone.rays:
-        if any(ctx.sign(x) <= 0 for x in r):
-            raise RecessionNotStrictlyPositive(
-                "a recession ray touches the orthant boundary; this case is refused"
-            )
     n = P.dim
-    half = Fraction(1, 2) if ctx.is_exact else 0.5
-    eps = ctx.coerce(Fraction(1, 2)) if ctx.is_exact else 0.5
-    for r in cone.rays:
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    bound = r[i] / r[j] * half
-                    if ctx.lt(bound, eps):
-                        eps = bound
+    eps = _shear_eps(P)
     aux = []
     for i in range(n):
         e = [ctx.zero()] * n

@@ -144,6 +144,22 @@ def test_realize_endgo3_stdout_is_byte_stable():
     assert "mapped_vertices" not in doc
 
 
+def test_realize_endgo5_stdout_is_byte_stable():
+    _, text, _ = orthants("gen", "endgo", "5")
+    first = orthants("realize", "-", stdin=text)
+    second = orthants("realize", "-", stdin=text)
+    assert first[0] == 0 and first[1] == second[1]
+    assert json.loads(first[1])["target_dim"] == 75
+
+
+def test_realize_endgo7_beyond_the_ray_guard():
+    # the recession cone is tested by Farkas LPs, so no ray is enumerated
+    _, text, _ = orthants("gen", "endgo", "7")
+    code, out, err = orthants("realize", "-", stdin=text)
+    assert code == 0, err
+    assert json.loads(out)["target_dim"] == 154
+
+
 @pytest.mark.parametrize(
     "argv, doc",
     [

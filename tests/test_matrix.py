@@ -8,7 +8,7 @@ from orthants import Mat, det, inverse, kernel_basis, rank, solve_linear
 from orthants.context import Context, EXACT, FLOAT
 from orthants.errors import BackendMismatch, ParseError
 from orthants.hedgehogs import _reorder_prefix
-from orthants.matrix import pivot_columns
+from orthants.matrix import pivot_columns, solve_columns
 from oracles import permutation_det, rref_rank, solve_any
 from conftest import rand_frac
 
@@ -229,6 +229,30 @@ class TestEchelonKernel:
             if rng.random() < 0.5:
                 square = [[rand_frac(rng) for _ in range(k)] for _ in range(k)]
             assert det(Mat.from_rows(square, EXACT)) == permutation_det(square)
+
+    def test_solve_columns_against_the_oracle(self):
+        # consistent and inconsistent right-hand sides share one pass and
+        # never mix: each answer solves its own rhs with the free variables
+        # at zero, and is None exactly when the oracle finds no solution
+        rng = random.Random(2030)
+        for _ in range(200):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            rows = rank_deficient_rows(rng, m, n)
+            M = Mat.from_rows(rows, EXACT)
+            free = set(range(n)) - set(greedy_pivot_columns(rows))
+            rhss = []
+            for _ in range(rng.randint(0, 4)):
+                x0 = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+                rhss.append(M.matvec(x0) if rng.random() < 0.5 else [rand_frac(rng) for _ in range(m)])
+            xs = solve_columns(M, rhss)
+            assert len(xs) == len(rhss)
+            for rhs, x in zip(rhss, xs):
+                assert (x is None) == (solve_any(rows, rhs) is None)
+                if x is not None:
+                    assert M.matvec(x) == rhs and all(x[j] == 0 for j in free)
+            F = Mat.from_rows(rows, FLOAT)
+            for x in solve_columns(F, [M.matvec([Fraction(1)] * n)]):
+                assert x is not None and all(map(close, F.matvec(x), M.matvec([1] * n)))
 
     def test_float_matches_exact_on_well_conditioned_inputs(self):
         # [D | E], D a row permutation of a strictly diagonally dominant

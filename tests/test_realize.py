@@ -1,6 +1,9 @@
 """Realizations against independent routes: the exact Gram identity, the
 input rows kept first, and no added row cutting the polyhedron, checked on
-known or brute-force vertices, or by Fourier-Motzkin minima."""
+known or brute-force vertices, or by Fourier-Motzkin minima.  The LP routes
+inside realize (the Farkas cone test, the shear eps, the Stiemke
+multipliers) are checked against brute-force ray enumeration and
+Fourier-Motzkin minima."""
 
 import random
 from fractions import Fraction
@@ -18,11 +21,13 @@ from orthants import (
     realize_unbounded,
     verify_embedding,
 )
-from orthants.context import EXACT
-from orthants.errors import RecessionNotStrictlyPositive, UnboundedPolyhedron
+from orthants import realize
+from orthants.context import EXACT, FLOAT
+from orthants.errors import BrokenInvariant, RecessionNotStrictlyPositive, UnboundedPolyhedron
 from orthants.frames import build
 from orthants.lp import decide_positive
 from orthants.matrix import dot
+from orthants.polyhedra import boundedness
 from conftest import rational_rotation
 from oracles import functional_minimum, rref_rank, solve_any
 
@@ -43,6 +48,15 @@ def vertices_and_rays(rows, offsets):
             x = solve_any(M, [offsets[i] for i in sub])
             if all(dot(a, x) >= b for a, b in zip(rows, offsets)):
                 verts.append(x)
+    return verts, extreme_rays(rows)
+
+
+def extreme_rays(rows):
+    """Extreme rays of A v >= 0 (A of full column rank), one per (n-1)-subset
+    of rows with a kernel line, repeats included."""
+    n = len(rows[0])
+    if n == 1:
+        return [[Fraction(s)] for s in (1, -1) if all(a[0] * s >= 0 for a in rows)]
     rays = []
     for sub in combinations(range(len(rows)), n - 1):
         M = [rows[i] for i in sub]
@@ -58,7 +72,7 @@ def vertices_and_rays(rows, offsets):
             r = [s * x for x in d]
             if all(dot(a, r) >= 0 for a in rows):
                 rays.append(r)
-    return verts, rays
+    return rays
 
 
 def check_realization(P, E, verts=None):
@@ -126,10 +140,7 @@ def turned(P):
     )
 
 
-# endgo 5 is left out: its recession rays alone take about 20 s to enumerate
-@pytest.mark.parametrize(
-    "family, n", [(f, n) for f in sorted(FAMILIES) for n in (2, 3, 4, 5) if (f, n) != ("endgo", 5)]
-)
+@pytest.mark.parametrize("family, n", [(f, n) for f in sorted(FAMILIES) for n in (2, 3, 4, 5)])
 def test_families_realize(family, n):
     # realize_unbounded is the CLI's realizer and takes bounded inputs too
     P = FAMILIES[family](n)
@@ -199,3 +210,131 @@ def test_turned_shear_is_still_refused():
     check_realization(P, realize_unbounded(P))
     with pytest.raises(RecessionNotStrictlyPositive):
         realize_unbounded(turned(P))
+
+
+# ---------------------------------------------------------------------------
+# the cone route of realize_unbounded against ray enumeration
+
+
+def enumerated_eps(rays):
+    """None when some extreme ray of the recession cone has a coordinate
+    <= 0; else min(1/2, min r_i / (2 r_j)) over rays and i != j."""
+    assert rays, "the input must be unbounded"
+    if any(x <= 0 for r in rays for x in r):
+        return None
+    n = len(rays[0])
+    return min([Fraction(1, 2)] + [
+        r[i] / r[j] / 2 for r in rays for i in range(n) for j in range(n) if i != j
+    ])
+
+
+def random_unbounded(rng, n, kind):
+    """A random nondegenerate unbounded system that holds the origin.  Kind
+    "boundary" makes its first row a coordinate halfspace x_k >= b, so rays
+    on that facet have a zero coordinate; kind "inside" puts the shear rows
+    first, so every ray is strictly positive; kind "free" draws every row."""
+    first, count = [], (n, n + 3)
+    if kind == "boundary":
+        count = (n - 1, n + 2)
+    if kind == "inside":
+        first = [list(r) for r in shear(n).A.data] if n > 1 else [[1]]
+        count = (1, 3)
+    while True:
+        head = first
+        if kind == "boundary":
+            k = rng.randrange(n)
+            head = [[int(i == k) for i in range(n)]]
+        rows = head + [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(*count))]
+        if not all(any(a) for a in rows) or rref_rank(rows) < n:
+            continue
+        P = Polyhedron.from_rows(rows, [-rng.randint(0, 3) for _ in rows], EXACT)
+        # enumerated_eps asserts that the enumeration finds rays
+        if not boundedness(P).is_positive:
+            return P
+
+
+def cone_inputs():
+    rng = random.Random(2031)
+    inputs = []
+    for n in (2, 3, 4):
+        for P in (shear(n), generate_max_rank_orthant(n)):
+            inputs += [P] + [rotated(P, rational_rotation(rng, n)) for _ in range(2)]
+    inputs += [turned(shear(2)), Polyhedron.from_rows([[1, 0], [0, 1]], [0, 0], EXACT)]
+    kinds = ("free", "boundary", "inside")
+    inputs += [random_unbounded(rng, n, kinds[k % 3]) for n in (1, 2, 3, 4) for k in range(12)]
+    return inputs
+
+
+def as_float(P):
+    return Polyhedron.from_rows([list(r) for r in P.A.data], list(P.b), FLOAT)
+
+
+def test_cone_route_matches_ray_enumeration():
+    outcomes, boundary = set(), 0
+    for P in cone_inputs():
+        rays = extreme_rays([list(r) for r in P.A.data])
+        expected = enumerated_eps(rays)
+        # the closure case: a ray with a zero coordinate and none negative
+        boundary += all(x >= 0 for r in rays for x in r) and any(0 in r for r in rays)
+        positive = realize._strictly_positive_cone(P)
+        assert positive == (expected is not None)
+        assert realize._strictly_positive_cone(as_float(P)) == positive
+        outcomes.add(positive)
+        if not positive:
+            with pytest.raises(RecessionNotStrictlyPositive):
+                realize_unbounded(P)
+            continue
+        eps = realize._shear_eps(P)
+        assert isinstance(eps, Fraction) and eps == expected
+        assert abs(realize._shear_eps(as_float(P)) - float(eps)) <= 1e-9
+        check_realization(P, realize_unbounded(P))
+    assert outcomes == {True, False} and boundary >= 3
+
+
+# ---------------------------------------------------------------------------
+# offsets of bounded inputs from Stiemke multipliers
+
+
+def multiplier_inputs():
+    """(P, its vertices or None): cube and cross with textbook vertices,
+    seeded random polytopes whose minima come from Fourier-Motzkin."""
+    rng = random.Random(2033)
+    inputs = [(FAMILIES[f](n), polytope_vertices(f, n)) for f in ("cube", "cross")
+              for n in (2, 3, 4, 5)]
+    return inputs + [(random_polytope(rng, 2 + k % 3), None) for k in range(12)]
+
+
+@pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
+def test_multiplier_offsets(ctx):
+    """Every added row u.x >= beta has lambda >= 0 with A^T lambda = u and
+    beta = lambda.b - 1, at least 1 below the minimum of u over P."""
+    for exact, verts in multiplier_inputs():
+        P = exact if ctx is EXACT else as_float(exact)
+        rows, offsets = [list(r) for r in exact.A.data], list(exact.b)
+        m = P.nfacets
+        E = realize_polytope(P)
+        added = [list(E.A_ext.row(i)) for i in range(m, E.target_dim)]
+        lams = realize._multipliers(P, boundedness(P).witness_t, added)
+        assert len(lams) == len(added) > 0
+        for u, lam, beta in zip(added, lams, E.b_ext[m:]):
+            residual = [dot(col, lam) - v for col, v in zip(zip(*P.A.data), u)]
+            # the companion rows are integer vectors on either backend
+            ints = [Fraction(round(x)) for x in u]
+            assert ints == u or ctx is FLOAT
+            if verts is None:
+                low = functional_minimum(rows, offsets, ints)
+            else:
+                low = min(dot(ints, v) for v in verts)
+            if ctx is EXACT:
+                assert all(v >= 0 for v in lam) and all(r == 0 for r in residual)
+                assert beta == dot(lam, P.b) - 1 and beta <= low - 1
+            else:
+                assert all(v >= -1e-9 for v in lam) and all(abs(r) <= 1e-9 for r in residual)
+                assert abs(beta - dot(lam, P.b) + 1) <= 1e-9 and beta <= low - 1 + 1e-9
+
+
+def test_a_multiplier_that_fails_its_check_is_refused():
+    # a witness y that is not in the kernel of A^T breaks A^T lambda = u
+    P = generate_cube(2)
+    with pytest.raises(BrokenInvariant):
+        realize._multipliers(P, (1, 1, 1, 2), [[-1, -1]])
