@@ -11,7 +11,7 @@ theory by rank, and constructive embeddings into larger orthants.
 
 from .context import Context, EXACT, FLOAT, Scalar
 from .errors import OrthantsError
-from .matrix import Mat, rank, solve_linear, kernel_basis, det, inverse
+from .matrix import Mat, rank, solve_linear, kernel_basis, det
 from .polyhedra import (
     Cone,
     Polyhedron,

@@ -256,20 +256,6 @@ def kernel_basis(M: Mat) -> list:
     return basis
 
 
-def inverse(M: Mat) -> Mat:
-    """Inverse of a square nonsingular matrix, column by column."""
-    if M.rows != M.cols:
-        raise ShapeMismatch("inverse needs a square matrix")
-    cols = []
-    for k in range(M.rows):
-        e = [M.ctx.one() if i == k else M.ctx.zero() for i in range(M.rows)]
-        x = solve_linear(M, e)
-        if x is None:
-            raise ShapeMismatch("matrix is singular")
-        cols.append(x)
-    return Mat.from_rows(cols, M.ctx).transpose()
-
-
 def det(M: Mat) -> Scalar:
     """Determinant of a square matrix, read off the echelon pivots."""
     if M.rows != M.cols:

@@ -13,8 +13,11 @@ inequality: n rows instead of m, and no free variables to split.
 Boundedness is one certified LP as well (Stiemke's alternative, below),
 with no dimension guard.  Recession rays and vertices are still found by
 enumerating row subsets, but no library code calls either:
-``realize_unbounded`` tests its recession cone by Farkas LPs.  Both stay
-only because the benchmark tracer wraps them by name.
+``realize_unbounded`` tests its recession cone by Farkas LPs.  Nor does
+any library code call ``functional_min``: realize takes its offsets from
+multiplier certificates, and ``remove_redundant`` uses the row-level
+``_functional_min_rows``.  The three stay as public API and because the
+benchmark tracer wraps them by name.
 """
 
 from __future__ import annotations

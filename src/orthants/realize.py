@@ -16,21 +16,24 @@ with enough auxiliary halfspaces, each certified rather than enumerated
 (Schrijver 1986, sec. 7.3 and 7.8):
 
 * One Stiemke LP decides boundedness.  A bounded polyhedron joins the
-  standard full-rank orthant family of its dimension; every added row u
-  gets a multiplier lambda >= 0 with A^T lambda = u, read off one echelon
-  pass and the Stiemke witness, and the offset lambda.b - 1 keeps it
-  strictly slack by weak duality.  No LP per row.
+  standard full-rank orthant family of its dimension, and every added row
+  u gets a multiplier lambda = mu + s y, with mu read off one echelon pass
+  (A^T mu = u) and y the Stiemke witness.
 * An unbounded polyhedron joins a sheared copy of the coordinate family,
   provided its recession cone sits strictly inside the positive orthant.
-  By Farkas' lemma that is one strict-positivity LP per coordinate, and
-  the shear eps is a minimum over the rays that small LPs compute without
-  listing them; the offsets are LP minima.
+  By Farkas' lemma that is one strict-positivity LP per coordinate, whose
+  witnesses lambda_i > 0, A^T lambda_i = e_i give every added row its
+  multiplier by linearity and bound the shear eps; a refusal names the
+  recession direction that the LP's certificate exhibits.
+
+Either way each multiplier is re-checked (lambda >= 0, A^T lambda = u) in
+one place, and the offset lambda.b - 1 keeps its row strictly slack by weak
+duality: no LP per added row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import sqrt
 
 from .context import Context
@@ -41,7 +44,7 @@ from .errors import (
     UnboundedPolyhedron,
 )
 from .matrix import Mat, dot, normalize, solve_columns
-from .polyhedra import Polyhedron, _functional_min_rows, _System, boundedness, functional_min
+from .polyhedra import Polyhedron, _System, boundedness
 from .polyhedra import require_nondegenerate
 from .frames import build, system_from_normals
 from .generators import generate_max_rank_orthant
@@ -137,34 +140,35 @@ def _direction_key(a, ctx: Context) -> tuple:
     return d if ctx.is_exact else tuple(round(x / ctx.tol) for x in d)
 
 
-def _multipliers(P: Polyhedron, y, added) -> list:
-    """lambda >= 0 with A^T lambda = u for every added row u, each re-checked.
+def _stiemke_multipliers(P: Polyhedron, y):
+    """The multiplier map of a bounded input, from its Stiemke witness y.
 
-    One echelon pass on [A^T | U] gives mu with A^T mu = u for every u; the
-    Stiemke witness y > 0 with A^T y = 0 shifts it to lambda = mu + s y,
-    s = max(0, max_i -mu_i / y_i).  Then u.x = lambda.(A x) >= lambda.b on
-    P (weak duality), so u.x >= lambda.b - 1 is strictly slack.
+    One echelon pass on [A^T | U] gives mu with A^T mu = u for every added
+    row u; y > 0 with A^T y = 0 shifts it to lambda = mu + s y,
+    s = max(0, max_i -mu_i / y_i), which is >= 0.
     """
     ctx = P.ctx
-    At = P.A.transpose()
-    out = []
-    for u, mu in zip(added, solve_columns(At, added)):
-        if mu is None:
-            raise BrokenInvariant("realize: an added row is outside the row space of A")
-        s = max([ctx.zero()] + [-m / w for m, w in zip(mu, y)])
-        lam = [m + s * w for m, w in zip(mu, y)]
-        if any(ctx.sign(v) < 0 for v in lam) or not all(
-            ctx.is_zero(dot(col, lam) - v) for col, v in zip(At.data, u)
-        ):
-            raise BrokenInvariant("realize: a multiplier failed lambda >= 0, A^T lambda = u")
-        out.append(lam)
-    return out
+
+    def multipliers(added):
+        out = []
+        for mu in solve_columns(P.A.transpose(), added):
+            if mu is None:
+                raise BrokenInvariant("realize: an added row is outside the row space of A")
+            s = max([ctx.zero()] + [-m / w for m, w in zip(mu, y)])
+            out.append([m + s * w for m, w in zip(mu, y)])
+        return out
+
+    return multipliers
 
 
-def _pad_and_embed(P: Polyhedron, aux_normals, stiemke=None) -> Embedding:
+def _pad_and_embed(P: Polyhedron, aux_normals, multipliers) -> Embedding:
     """P's rows, then every auxiliary normal whose line is new, each pushed
-    strictly below P: by multipliers when a Stiemke witness proves P bounded,
-    else by one LP per added row."""
+    strictly below P by its multiplier.
+
+    ``multipliers`` maps the added rows to lambda >= 0 with A^T lambda = u,
+    re-checked here.  Then u.x = lambda.(A x) >= lambda.b on P (weak
+    duality), so u.x >= lambda.b - 1 is strictly slack.
+    """
     ctx = P.ctx
     own = [P.A.row(i) for i in range(P.nfacets)]
     seen = {_direction_key(r, ctx) for r in own}
@@ -175,17 +179,14 @@ def _pad_and_embed(P: Polyhedron, aux_normals, stiemke=None) -> Embedding:
         if key not in seen:
             seen.add(key)
             added.append(a)
-    if stiemke is None:
-        offsets = []
-        for a in added:
-            low = functional_min(P, a)
-            if low is None:
-                raise UnboundedPolyhedron(
-                    "auxiliary functional unbounded below; recession cone violates setup"
-                )
-            offsets.append(low - ctx.one())
-    else:
-        offsets = [dot(lam, P.b) - ctx.one() for lam in _multipliers(P, stiemke, added)]
+    At = P.A.transpose()
+    offsets = []
+    for u, lam in zip(added, multipliers(added), strict=True):
+        if any(ctx.sign(v) < 0 for v in lam) or not all(
+            ctx.is_zero(dot(col, lam) - v) for col, v in zip(At.data, u)
+        ):
+            raise BrokenInvariant("realize: a multiplier failed lambda >= 0, A^T lambda = u")
+        offsets.append(dot(lam, P.b) - ctx.one())
     ext_rows = [list(r) for r in own] + added
     ext_b = list(P.b) + offsets
     system = system_from_normals(ext_rows, ctx)
@@ -207,7 +208,7 @@ def orthant_embedding(P: Polyhedron) -> Embedding | None:
 def _pad_with_companion(P: Polyhedron, stiemke) -> Embedding:
     companion = generate_max_rank_orthant(P.dim, P.ctx)
     rows = [companion.A.row(i) for i in range(companion.nfacets)]
-    return _pad_and_embed(P, rows, stiemke)
+    return _pad_and_embed(P, rows, _stiemke_multipliers(P, stiemke))
 
 
 def realize_polytope(P: Polyhedron) -> Embedding:
@@ -226,53 +227,40 @@ def realize_polytope(P: Polyhedron) -> Embedding:
     return _pad_with_companion(P, bounded.witness_t)
 
 
-def _strictly_positive_cone(P: Polyhedron) -> bool:
-    """Whether every nonzero v with A v >= 0 is strictly positive.
+def _farkas_witnesses(P: Polyhedron) -> list:
+    """lambda_i > 0 with A^T lambda_i = e_i for every coordinate i, re-checked;
+    raises RecessionNotStrictlyPositive with a recession direction otherwise.
 
-    By cone duality that holds exactly when every e_i lies in the interior
-    of the dual cone, which is cone(rows of A) by Farkas' lemma; with A of
-    full column rank that interior is {A^T lam : lam > 0}.  So the test is
-    one strict-positivity LP per coordinate, each Positive witness re-checked.
+    Every nonzero v with A v >= 0 is strictly positive exactly when every
+    e_i lies in the interior of the dual cone, which is cone(rows of A) by
+    Farkas' lemma; with A of full column rank that interior is
+    {A^T lam : lam > 0}.  So the test is one strict-positivity LP per
+    coordinate.  A NotPositive certificate y for coordinate i has A y >= 0,
+    A y != 0 and y_i <= 0: a recession direction off the open orthant.
     """
     ctx = P.ctx
     At = P.A.transpose()
+    witnesses = []
     for i in range(P.dim):
         e = tuple(ctx.one() if k == i else ctx.zero() for k in range(P.dim))
         system = _System(At, e)
         outcome = lp.decide_positive(system)
-        if not outcome.is_positive:
-            return False
-        if not lp.verify_outcome(system, outcome):
-            raise BrokenInvariant("realize: a Farkas multiplier failed its re-check")
-    return True
-
-
-def _shear_eps(P: Polyhedron):
-    """min(1/2, min over recession rays r and i != j of r_i / (2 r_j)).
-
-    With every ray strictly positive, {v : A v >= 0, v_j = 1} is the
-    polytope spanned by the rays scaled to v_j = 1, so the smallest ratio
-    r_i / r_j is the minimum of v_i over it: one n-row dual LP per pair.
-    """
-    ctx = P.ctx
-    n = P.dim
-    half = Fraction(1, 2) if ctx.is_exact else 0.5
-    eps = half
-    unit = [[ctx.one() if k == i else ctx.zero() for k in range(n)] for i in range(n)]
-    own = [P.A.row(i) for i in range(P.nfacets)]
-    offsets = [ctx.zero()] * P.nfacets + [ctx.one(), -ctx.one()]
-    for j in range(n):
-        rows = own + [unit[j], [-x for x in unit[j]]]
-        for i in range(n):
-            if i == j:
-                continue
-            low = _functional_min_rows(rows, offsets, unit[i], ctx)
-            if low is None:
-                raise BrokenInvariant("realize: a ray slice v_j = 1 is empty or unbounded")
-            bound = low * half
-            if ctx.lt(bound, eps):
-                eps = bound
-    return eps
+        if outcome.is_positive:
+            if not lp.verify_outcome(system, outcome):
+                raise BrokenInvariant("realize: a Farkas multiplier failed its re-check")
+            witnesses.append(outcome.witness_t)
+            continue
+        y = outcome.certificate_y
+        Ay = [ctx.sign(dot(P.A.row(r), y)) for r in range(P.nfacets)]
+        if min(Ay) < 0 or max(Ay) == 0 or ctx.sign(y[i]) > 0:
+            raise BrokenInvariant("realize: a recession certificate failed A y >= 0, y_i <= 0")
+        ray = ", ".join(ctx.format(v) for v in y)
+        raise RecessionNotStrictlyPositive(
+            f"the recession direction y = ({ray}) has A y >= 0 and y_{i + 1} <= 0, "
+            "so the recession cone touches or leaves the orthant boundary; "
+            "this case is refused"
+        )
+    return witnesses
 
 
 def realize_unbounded(P: Polyhedron) -> Embedding:
@@ -281,36 +269,30 @@ def realize_unbounded(P: Polyhedron) -> Embedding:
 
     One Stiemke LP decides boundedness; a bounded input is padded as in
     realize_polytope, offsets from its witness.  Otherwise n Farkas LPs
-    test the recession cone without listing its rays, and the auxiliary
-    family is x_i and x_i -+ eps x_j with eps below every ratio r_i / r_j
-    over the rays (n(n-1) more LPs), which keeps every auxiliary functional
-    bounded below on the polyhedron; its offsets are LP minima.
+    give lambda_i > 0 with A^T lambda_i = e_i, and the auxiliary family is
+    x_i and x_i -+ eps x_j, where row u = sum_k u_k e_k gets the multiplier
+    sum_k u_k lambda_k.  That is >= 0 once eps lambda_j <= lambda_i in every
+    entry, so eps is the largest power of two at most 1/2 and at most every
+    ratio min_i lambda_i[r] / max_j lambda_j[r]; the rows stay dyadic.  Any
+    eps > 0 keeps the padded system Positive, since these rows span Sym(n)
+    with the identity inside their cone.  No LP per row.
     """
     bounded = boundedness(P)
     if bounded.is_positive:
         return _pad_with_companion(P, bounded.witness_t)
-    if not _strictly_positive_cone(P):
-        raise RecessionNotStrictlyPositive(
-            "a recession ray touches the orthant boundary; this case is refused"
-        )
+    lams = _farkas_witnesses(P)
     ctx = P.ctx
     n = P.dim
-    eps = _shear_eps(P)
-    aux = []
-    for i in range(n):
-        e = [ctx.zero()] * n
-        e[i] = ctx.one()
-        aux.append(tuple(e))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            minus = [ctx.zero()] * n
-            minus[i] = ctx.one()
-            minus[j] = -eps
-            aux.append(tuple(minus))
-            plus = [ctx.zero()] * n
-            plus[i] = ctx.one()
-            plus[j] = eps
-            aux.append(tuple(plus))
-    return _pad_and_embed(P, aux)
+    by_row = list(zip(*lams))
+    ratio = min(min(col) / max(col) for col in by_row)
+    eps = ctx.one() / 2
+    while ratio < eps:
+        eps /= 2
+    unit = [[ctx.one() if k == i else ctx.zero() for k in range(n)] for i in range(n)]
+    aux = unit + [
+        [x + s * eps * y for x, y in zip(unit[i], unit[j])]
+        for i in range(n) for j in range(n) if i != j for s in (-1, 1)
+    ]
+    return _pad_and_embed(
+        P, aux, lambda added: [[dot(u, col) for col in by_row] for u in added]
+    )

@@ -3,8 +3,9 @@
 import random
 from fractions import Fraction
 
-from orthants import Mat, Polyhedron, inverse
+from orthants import Mat, Polyhedron
 from orthants.context import EXACT
+from orthants.matrix import solve_columns
 
 
 def rand_frac(rng, lo=-9, hi=9, max_den=9, nonzero=False):
@@ -79,7 +80,8 @@ def rational_rotation_2d(rng):
 
 def rational_rotation(rng, n):
     """Exact rational orthogonal matrix via the Cayley transform of a random
-    skew-symmetric matrix."""
+    skew-symmetric matrix S: R = (I - S)(I + S)^-1, read off one
+    solve_columns pass, since (I - S) R^T = I + S."""
     S = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -93,4 +95,5 @@ def rational_rotation(rng, n):
     minus = Mat.from_rows(
         [[I.data[i][j] - S[i][j] for j in range(n)] for i in range(n)], EXACT
     )
-    return minus.matmul(inverse(plus))
+    # column k of R^T is row k of R
+    return Mat.from_rows(solve_columns(minus, [plus.column(k) for k in range(n)]), EXACT)

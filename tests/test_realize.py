@@ -1,11 +1,14 @@
 """Realizations against independent routes: the exact Gram identity, the
 input rows kept first, and no added row cutting the polyhedron, checked on
-known or brute-force vertices, or by Fourier-Motzkin minima.  The LP routes
-inside realize (the Farkas cone test, the shear eps, the Stiemke
-multipliers) are checked against brute-force ray enumeration and
-Fourier-Motzkin minima."""
+known or brute-force vertices, or by Fourier-Motzkin minima.  The
+certificate routes inside realize are checked the same way: the Farkas
+witness verdict against brute-force ray enumeration, refusals by the
+recession direction their message names, and every added row's multiplier
+(Stiemke shifts when bounded, Farkas witness combinations when unbounded)
+against Fourier-Motzkin minima.  A guard pins realize's LP count."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -21,12 +24,12 @@ from orthants import (
     realize_unbounded,
     verify_embedding,
 )
-from orthants import realize
+from orthants import lp, polyhedra, realize
 from orthants.context import EXACT, FLOAT
 from orthants.errors import BrokenInvariant, RecessionNotStrictlyPositive, UnboundedPolyhedron
 from orthants.frames import build
 from orthants.lp import decide_positive
-from orthants.matrix import dot
+from orthants.matrix import dot, kernel_basis
 from orthants.polyhedra import boundedness
 from conftest import rational_rotation
 from oracles import functional_minimum, rref_rank, solve_any
@@ -213,19 +216,13 @@ def test_turned_shear_is_still_refused():
 
 
 # ---------------------------------------------------------------------------
-# the cone route of realize_unbounded against ray enumeration
+# the Farkas witness route of realize_unbounded against ray enumeration
 
 
-def enumerated_eps(rays):
-    """None when some extreme ray of the recession cone has a coordinate
-    <= 0; else min(1/2, min r_i / (2 r_j)) over rays and i != j."""
+def strictly_positive(rays):
+    """Whether every enumerated extreme ray of the recession cone is > 0."""
     assert rays, "the input must be unbounded"
-    if any(x <= 0 for r in rays for x in r):
-        return None
-    n = len(rays[0])
-    return min([Fraction(1, 2)] + [
-        r[i] / r[j] / 2 for r in rays for i in range(n) for j in range(n) if i != j
-    ])
+    return all(x > 0 for r in rays for x in r)
 
 
 def random_unbounded(rng, n, kind):
@@ -248,7 +245,7 @@ def random_unbounded(rng, n, kind):
         if not all(any(a) for a in rows) or rref_rank(rows) < n:
             continue
         P = Polyhedron.from_rows(rows, [-rng.randint(0, 3) for _ in rows], EXACT)
-        # enumerated_eps asserts that the enumeration finds rays
+        # strictly_positive asserts that the enumeration finds rays
         if not boundedness(P).is_positive:
             return P
 
@@ -269,72 +266,172 @@ def as_float(P):
     return Polyhedron.from_rows([list(r) for r in P.A.data], list(P.b), FLOAT)
 
 
+def witness_verdict(P):
+    """True when realize's Farkas route finds every witness, False when it refuses."""
+    try:
+        realize._farkas_witnesses(P)
+    except RecessionNotStrictlyPositive:
+        return False
+    return True
+
+
 def test_cone_route_matches_ray_enumeration():
     outcomes, boundary = set(), 0
     for P in cone_inputs():
         rays = extreme_rays([list(r) for r in P.A.data])
-        expected = enumerated_eps(rays)
+        expected = strictly_positive(rays)
         # the closure case: a ray with a zero coordinate and none negative
         boundary += all(x >= 0 for r in rays for x in r) and any(0 in r for r in rays)
-        positive = realize._strictly_positive_cone(P)
-        assert positive == (expected is not None)
-        assert realize._strictly_positive_cone(as_float(P)) == positive
-        outcomes.add(positive)
-        if not positive:
+        assert witness_verdict(P) == expected
+        assert witness_verdict(as_float(P)) == expected
+        outcomes.add(expected)
+        if not expected:
             with pytest.raises(RecessionNotStrictlyPositive):
                 realize_unbounded(P)
             continue
-        eps = realize._shear_eps(P)
-        assert isinstance(eps, Fraction) and eps == expected
-        assert abs(realize._shear_eps(as_float(P)) - float(eps)) <= 1e-9
-        check_realization(P, realize_unbounded(P))
+        E = realize_unbounded(P)
+        for i in range(P.nfacets, E.target_dim):
+            assert all(dot(E.A_ext.row(i), r) >= 0 for r in rays)
+        check_realization(P, E)
     assert outcomes == {True, False} and boundary >= 3
 
 
+@pytest.mark.parametrize("P", [
+    Polyhedron.from_rows([[1, 0], [0, 1]], [0, 0], EXACT), turned(shear(2)),
+], ids=["quadrant", "turned-shear"])
+def test_refusal_names_its_recession_direction(P):
+    # the message carries a coordinate i and a vector y; re-check A y >= 0,
+    # A y != 0 and y_i <= 0 from the message alone
+    with pytest.raises(RecessionNotStrictlyPositive) as info:
+        realize_unbounded(P)
+    found = re.search(r"y = \(([^)]*)\) has A y >= 0 and y_(\d+) <= 0", str(info.value))
+    assert found, str(info.value)
+    y = [Fraction(v) for v in found.group(1).split(", ")]
+    i = int(found.group(2)) - 1
+    Ay = [dot(a, y) for a in P.A.data]
+    assert min(Ay) >= 0 and max(Ay) > 0 and y[i] <= 0
+
+
 # ---------------------------------------------------------------------------
-# offsets of bounded inputs from Stiemke multipliers
+# offsets from multipliers: Stiemke shifts on bounded inputs, Farkas
+# witness combinations on unbounded ones
 
 
 def multiplier_inputs():
     """(P, its vertices or None): cube and cross with textbook vertices,
-    seeded random polytopes whose minima come from Fourier-Motzkin."""
+    seeded random polytopes, and unbounded inputs whose recession cone is
+    strictly positive; minima without vertices come from Fourier-Motzkin."""
     rng = random.Random(2033)
     inputs = [(FAMILIES[f](n), polytope_vertices(f, n)) for f in ("cube", "cross")
               for n in (2, 3, 4, 5)]
-    return inputs + [(random_polytope(rng, 2 + k % 3), None) for k in range(12)]
+    inputs += [(random_polytope(rng, 2 + k % 3), None) for k in range(12)]
+    for n in (2, 3, 4):
+        for P in (shear(n), generate_max_rank_orthant(n)):
+            copies = [rotated(P, rational_rotation(rng, n)) for _ in range(3)]
+            inputs += [(Q, None) for Q in [P] + [Q for Q in copies if witness_verdict(Q)]]
+    inputs += [(random_unbounded(rng, n, "inside"), None) for n in (2, 3, 4) for _ in range(2)]
+    return inputs
+
+
+def spy_multipliers(monkeypatch):
+    """Record the multiplier map that each realization hands to _pad_and_embed."""
+    maps = []
+    pad = realize._pad_and_embed
+
+    def spy(P, aux, multipliers):
+        maps.append(multipliers)
+        return pad(P, aux, multipliers)
+
+    monkeypatch.setattr(realize, "_pad_and_embed", spy)
+    return maps
 
 
 @pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
-def test_multiplier_offsets(ctx):
+def test_multiplier_offsets(ctx, monkeypatch):
     """Every added row u.x >= beta has lambda >= 0 with A^T lambda = u and
     beta = lambda.b - 1, at least 1 below the minimum of u over P."""
+    maps = spy_multipliers(monkeypatch)
+    unbounded = 0
     for exact, verts in multiplier_inputs():
         P = exact if ctx is EXACT else as_float(exact)
         rows, offsets = [list(r) for r in exact.A.data], list(exact.b)
         m = P.nfacets
-        E = realize_polytope(P)
+        E = realize_unbounded(P)
+        unbounded += not boundedness(P).is_positive
         added = [list(E.A_ext.row(i)) for i in range(m, E.target_dim)]
-        lams = realize._multipliers(P, boundedness(P).witness_t, added)
+        lams = maps[-1](added)
         assert len(lams) == len(added) > 0
         for u, lam, beta in zip(added, lams, E.b_ext[m:]):
             residual = [dot(col, lam) - v for col, v in zip(zip(*P.A.data), u)]
-            # the companion rows are integer vectors on either backend
-            ints = [Fraction(round(x)) for x in u]
-            assert ints == u or ctx is FLOAT
+            # the added rows are dyadic vectors on either backend
+            exact_u = [Fraction(x) for x in u]
             if verts is None:
-                low = functional_minimum(rows, offsets, ints)
+                low = functional_minimum(rows, offsets, exact_u)
             else:
-                low = min(dot(ints, v) for v in verts)
+                low = min(dot(exact_u, v) for v in verts)
             if ctx is EXACT:
                 assert all(v >= 0 for v in lam) and all(r == 0 for r in residual)
                 assert beta == dot(lam, P.b) - 1 and beta <= low - 1
             else:
                 assert all(v >= -1e-9 for v in lam) and all(abs(r) <= 1e-9 for r in residual)
                 assert abs(beta - dot(lam, P.b) + 1) <= 1e-9 and beta <= low - 1 + 1e-9
+    assert unbounded >= 12
 
 
-def test_a_multiplier_that_fails_its_check_is_refused():
-    # a witness y that is not in the kernel of A^T breaks A^T lambda = u
-    P = generate_cube(2)
-    with pytest.raises(BrokenInvariant):
-        realize._multipliers(P, (1, 1, 1, 2), [[-1, -1]])
+def tampered(multipliers, P, how):
+    """The map with the first multiplier broken: "shift" moves it off
+    A^T lambda = u; "negative" moves it along the kernel of A^T until an
+    entry is negative, so A^T lambda = u still holds."""
+    k = kernel_basis(P.A.transpose())[0]
+
+    def bad(added):
+        lams = [list(lam) for lam in multipliers(added)]
+        lam = lams[0]
+        if how == "shift":
+            lam[0] += 1
+        else:
+            r = next(r for r, v in enumerate(k) if v != 0)
+            c = -(lam[r] + 1) / k[r]
+            lams[0] = [v + c * w for v, w in zip(lam, k)]
+        return lams
+
+    return bad
+
+
+def test_a_multiplier_that_fails_its_check_is_refused(monkeypatch):
+    maps = spy_multipliers(monkeypatch)
+    for P in (generate_cube(2), shear(3)):
+        E = realize_unbounded(P)
+        aux = [E.A_ext.row(i) for i in range(P.nfacets, E.target_dim)]
+        good = maps[-1]
+        for how in ("shift", "negative"):
+            with pytest.raises(BrokenInvariant):
+                realize._pad_and_embed(P, aux, tampered(good, P, how))
+
+
+# ---------------------------------------------------------------------------
+# the LP budget of realize_unbounded
+
+
+@pytest.mark.parametrize("family, n", [(f, n) for f in ("shear", "endgo", "cube", "cross")
+                                       for n in (2, 3, 4)])
+def test_realize_lp_count(family, n, monkeypatch):
+    """Boundedness, n Farkas LPs when unbounded, and the padded system:
+    n + 2 LPs on unbounded inputs and 2 on bounded ones, and no
+    functional_min LP."""
+    P = shear(n) if family == "shear" else FAMILIES[family](n)
+    calls = []
+    simplex = lp.simplex_standard
+
+    def counted(*args):
+        calls.append(args)
+        return simplex(*args)
+
+    def refused(*args):
+        raise AssertionError("realize ran a functional_min LP")
+
+    monkeypatch.setattr(lp, "simplex_standard", counted)
+    monkeypatch.setattr(polyhedra, "_functional_min_rows", refused)
+    E = realize_unbounded(P)
+    assert len(calls) == (2 if family in ("cube", "cross") else n + 2)
+    check_realization(P, E)
