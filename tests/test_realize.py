@@ -365,6 +365,7 @@ def test_multiplier_offsets(ctx, monkeypatch):
             residual = [dot(col, lam) - v for col, v in zip(zip(*P.A.data), u)]
             # the added rows are dyadic vectors on either backend
             exact_u = [Fraction(x) for x in u]
+            assert all(x.denominator & (x.denominator - 1) == 0 for x in exact_u)
             if verts is None:
                 low = functional_minimum(rows, offsets, exact_u)
             else:
@@ -405,7 +406,7 @@ def test_a_multiplier_that_fails_its_check_is_refused(monkeypatch):
         aux = [E.A_ext.row(i) for i in range(P.nfacets, E.target_dim)]
         good = maps[-1]
         for how in ("shift", "negative"):
-            with pytest.raises(BrokenInvariant):
+            with pytest.raises(BrokenInvariant, match="multiplier"):
                 realize._pad_and_embed(P, aux, tampered(good, P, how))
 
 
