@@ -44,7 +44,10 @@ def _read(path: str) -> str:
 
 def _ctx(args) -> Context:
     if args.backend == "float":
-        return Context("float", args.tol)
+        try:
+            return Context("float", args.tol)
+        except ValueError as exc:
+            raise ParseError(f"--tol {args.tol}: {exc}") from None
     return EXACT
 
 

@@ -96,9 +96,6 @@ class Context:
     def lt(self, a: Scalar, b: Scalar) -> bool:
         return self.sign(a - b) < 0
 
-    def le(self, a: Scalar, b: Scalar) -> bool:
-        return self.sign(a - b) <= 0
-
 
 EXACT = Context(EXACT_BACKEND)
 FLOAT = Context(FLOAT_BACKEND)

@@ -10,14 +10,13 @@ linear program instead of any vertex enumeration; redundancy removal runs
 one n-row dual LP per inequality.  Both LPs are solved as their duals,
 which have one row per coordinate and one nonnegative column per
 inequality: n rows instead of m, and no free variables to split.
-Boundedness is one certified LP as well (Stiemke's alternative, below),
-with no dimension guard.  Recession rays and vertices are still found by
-enumerating row subsets, but no library code calls either:
-``realize_unbounded`` tests its recession cone by Farkas LPs.  Nor does
-any library code call ``functional_min``: realize takes its offsets from
-multiplier certificates, and ``remove_redundant`` uses the row-level
-``_functional_min_rows``.  The three stay as public API and because the
-benchmark tracer wraps them by name.
+Boundedness is one certified LP as well, the case u = 0 of the strict
+multiplier LP u = A^T lambda, lambda > 0, which also gives realize its
+Farkas witnesses.  Recession rays and vertices are still found by
+enumerating row subsets, and ``functional_min`` by its own LP, but no
+library code calls any of the three (``remove_redundant`` uses the
+row-level ``_functional_min_rows``); they stay as public API and because
+the benchmark tracer wraps them by name.
 """
 
 from __future__ import annotations
@@ -263,19 +262,26 @@ def recession_rays(P: Polyhedron) -> Cone:
     return Cone(n, tuple(rays), ctx)
 
 
+def _strict_multiplier(P: Polyhedron, u) -> lp.PositivityOutcome:
+    """u = A^T lambda with lambda > 0 (Schrijver 1986, sec. 7.8), re-checked.
+    Positive carries lambda, NotPositive a v with A v >= 0 and u.v <= 0, not
+    both zero; never Inconsistent, as A has full column rank (callers check)."""
+    system = _System(P.A.transpose(), tuple(u))
+    outcome = lp.decide_positive(system)
+    if outcome.verdict == lp.Verdict.INCONSISTENT or not lp.verify_outcome(system, outcome):
+        raise BrokenInvariant("a multiplier LP u = A^T lambda, lambda > 0 failed its re-check")
+    return outcome
+
+
 def boundedness(P: Polyhedron) -> lp.PositivityOutcome:
-    """Stiemke's alternative for A^T y = 0 (Schrijver 1986, sec. 7.8), re-checked.
+    """Stiemke's alternative: the strict multiplier LP for u = 0.
 
     With A of full column rank, P is bounded exactly when some y > 0 has
     A^T y = 0: a Positive witness y proves it, and a NotPositive certificate
     v has A v >= 0, A v != 0, so v is a recession direction.
     """
     require_nondegenerate(P)
-    system = _System(P.A.transpose(), tuple(P.ctx.zero() for _ in range(P.dim)))
-    outcome = lp.decide_positive(system)
-    if outcome.verdict == lp.Verdict.INCONSISTENT or not lp.verify_outcome(system, outcome):
-        raise BrokenInvariant("is_bounded: A^T y = 0 (solved by y = 0) failed its re-check")
-    return outcome
+    return _strict_multiplier(P, [P.ctx.zero()] * P.dim)
 
 
 def is_bounded(P: Polyhedron) -> bool:

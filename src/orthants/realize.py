@@ -11,29 +11,29 @@ point pairs at once, so verifying an embedding never needs square roots:
 the identity is checked exactly, and squared image distances are rational.
 
 ``orthant_embedding`` is the paper's variant 1: P in R^m, m its facet
-count.  The realizers take variant 2 for every input and pad the system
-with enough auxiliary halfspaces, each certified rather than enumerated
-(Schrijver 1986, sec. 7.3 and 7.8):
+count.  ``realize_polytope`` and ``realize_unbounded`` take variant 2 by
+one route: pad P with the shear family x_i -+ eps x_j, x_i, and give every
+added row u a multiplier lambda >= 0 with A^T lambda = u, re-checked in one
+place, so that the offset lambda.b - 1 is strictly slack by weak duality
+(Schrijver 1986, sec. 7.3 and 7.8).  The multipliers come from the strict
+multiplier LP of ``polyhedra`` (u = A^T lambda, lambda > 0), by one of two maps:
 
-* One Stiemke LP decides boundedness.  A bounded polyhedron joins the
-  standard full-rank orthant family of its dimension, and every added row
-  u gets a multiplier lambda = mu + s y, with mu read off one echelon pass
-  (A^T mu = u) and y the Stiemke witness.
-* An unbounded polyhedron joins a sheared copy of the coordinate family,
-  provided its recession cone sits strictly inside the positive orthant.
-  By Farkas' lemma that is one strict-positivity LP per coordinate, whose
-  witnesses lambda_i > 0, A^T lambda_i = e_i give every added row its
-  multiplier by linearity and bound the shear eps; a refusal names the
-  recession direction that the LP's certificate exhibits.
+* Bounded P (Stiemke: u = 0 is Positive): eps = 1, where the family is the
+  full-rank orthant family ``generate_max_rank_orthant``, and lambda =
+  mu + s y, mu from one echelon pass on A^T and y the Stiemke witness.
+* Unbounded P: n Farkas LPs u = e_i give lambda_i > 0, so the recession
+  cone lies strictly inside the orthant, and row u gets sum_k u_k lambda_k.
+  eps is the largest power of two <= 1/2 with eps lambda_j <= lambda_i
+  entrywise.  A refusal names the recession direction of the failing LP.
 
-Either way each multiplier is re-checked (lambda >= 0, A^T lambda = u) in
-one place, and the offset lambda.b - 1 keeps its row strictly slack by weak
-duality: no LP per added row.
+Any eps > 0 keeps the padded system Positive: the family spans Sym(n) with
+the identity inside its cone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import sqrt
 
 from .context import Context
@@ -44,10 +44,8 @@ from .errors import (
     UnboundedPolyhedron,
 )
 from .matrix import Mat, dot, normalize, solve_columns
-from .polyhedra import Polyhedron, _System, boundedness
-from .polyhedra import require_nondegenerate
+from .polyhedra import Polyhedron, _strict_multiplier, boundedness, require_nondegenerate
 from .frames import build, system_from_normals
-from .generators import generate_max_rank_orthant
 from . import lp
 
 
@@ -171,14 +169,11 @@ def _pad_and_embed(P: Polyhedron, aux_normals, multipliers) -> Embedding:
     """
     ctx = P.ctx
     own = [P.A.row(i) for i in range(P.nfacets)]
-    seen = {_direction_key(r, ctx) for r in own}
-    added = []
+    seen, added = {_direction_key(r, ctx) for r in own}, []
     for a in aux_normals:
-        a = [ctx.coerce(x) for x in a]
-        key = _direction_key(a, ctx)
-        if key not in seen:
+        if (key := _direction_key(a, ctx)) not in seen:
             seen.add(key)
-            added.append(a)
+            added.append(list(a))
     At = P.A.transpose()
     offsets = []
     for u, lam in zip(added, multipliers(added), strict=True):
@@ -205,94 +200,67 @@ def orthant_embedding(P: Polyhedron) -> Embedding | None:
     return build_embedding(P, outcome.witness_t, system) if outcome.is_positive else None
 
 
-def _pad_with_companion(P: Polyhedron, stiemke) -> Embedding:
-    companion = generate_max_rank_orthant(P.dim, P.ctx)
-    rows = [companion.A.row(i) for i in range(companion.nfacets)]
-    return _pad_and_embed(P, rows, _stiemke_multipliers(P, stiemke))
-
-
-def realize_polytope(P: Polyhedron) -> Embedding:
-    """Isometric orthant section of a bounded polyhedron, any target dimension.
-
-    One Stiemke LP proves P bounded with a witness y > 0, A^T y = 0.  The
-    facet directions are joined with the standard full-rank orthant family,
-    whose offsets come from multipliers shifted along y and sit strictly
-    below the polytope, so no auxiliary halfspace touches it; the padded
-    system always admits a positive weighting because it contains a
-    full-rank orthant subsystem.
-    """
-    bounded = boundedness(P)
-    if not bounded.is_positive:
-        raise UnboundedPolyhedron("use realize_unbounded for unbounded inputs")
-    return _pad_with_companion(P, bounded.witness_t)
+def _shear_family(n: int, eps, ctx: Context) -> list:
+    """x_i - eps x_j and x_j - eps x_i for each i < j, the same with + eps,
+    then x_i; at eps = 1 its lines are generate_max_rank_orthant(n)'s, in order."""
+    unit = [[ctx.one() if k == i else ctx.zero() for k in range(n)] for i in range(n)]
+    return [[x + s * y for x, y in zip(unit[p], unit[q])] for s in (-eps, eps)
+            for i, j in combinations(range(n), 2) for p, q in ((i, j), (j, i))] + unit
 
 
 def _farkas_witnesses(P: Polyhedron) -> list:
-    """lambda_i > 0 with A^T lambda_i = e_i for every coordinate i, re-checked;
-    raises RecessionNotStrictlyPositive with a recession direction otherwise.
+    """lambda_i > 0 with A^T lambda_i = e_i for every coordinate i; raises
+    RecessionNotStrictlyPositive with a recession direction otherwise.
 
-    Every nonzero v with A v >= 0 is strictly positive exactly when every
-    e_i lies in the interior of the dual cone, which is cone(rows of A) by
-    Farkas' lemma; with A of full column rank that interior is
-    {A^T lam : lam > 0}.  So the test is one strict-positivity LP per
-    coordinate.  A NotPositive certificate y for coordinate i has A y >= 0,
-    A y != 0 and y_i <= 0: a recession direction off the open orthant.
+    By Farkas' lemma every nonzero v with A v >= 0 is > 0 exactly when each
+    e_i is in {A^T lam : lam > 0} (A of full column rank, as ``boundedness``
+    checks first).  Else the certificate y for e_i has A y >= 0, A y != 0
+    and y_i <= 0: a recession direction off the open orthant.
     """
     ctx = P.ctx
-    At = P.A.transpose()
     witnesses = []
     for i in range(P.dim):
         e = tuple(ctx.one() if k == i else ctx.zero() for k in range(P.dim))
-        system = _System(At, e)
-        outcome = lp.decide_positive(system)
-        if outcome.is_positive:
-            if not lp.verify_outcome(system, outcome):
-                raise BrokenInvariant("realize: a Farkas multiplier failed its re-check")
-            witnesses.append(outcome.witness_t)
-            continue
-        y = outcome.certificate_y
-        Ay = [ctx.sign(dot(P.A.row(r), y)) for r in range(P.nfacets)]
-        if min(Ay) < 0 or max(Ay) == 0 or ctx.sign(y[i]) > 0:
-            raise BrokenInvariant("realize: a recession certificate failed A y >= 0, y_i <= 0")
-        ray = ", ".join(ctx.format(v) for v in y)
-        raise RecessionNotStrictlyPositive(
-            f"the recession direction y = ({ray}) has A y >= 0 and y_{i + 1} <= 0, "
-            "so the recession cone touches or leaves the orthant boundary; "
-            "this case is refused"
-        )
+        outcome = _strict_multiplier(P, e)
+        if not outcome.is_positive:
+            ray = ", ".join(ctx.format(v) for v in outcome.certificate_y)
+            raise RecessionNotStrictlyPositive(
+                f"the recession direction y = ({ray}) has A y >= 0 and y_{i + 1} <= 0, "
+                "so the recession cone touches or leaves the orthant boundary; "
+                "this case is refused"
+            )
+        witnesses.append(outcome.witness_t)
     return witnesses
 
 
-def realize_unbounded(P: Polyhedron) -> Embedding:
-    """Orthant section of a polyhedron whose recession rays are strictly
-    positive componentwise; refuses the boundary case.
-
-    One Stiemke LP decides boundedness; a bounded input is padded as in
-    realize_polytope, offsets from its witness.  Otherwise n Farkas LPs
-    give lambda_i > 0 with A^T lambda_i = e_i, and the auxiliary family is
-    x_i and x_i -+ eps x_j, where row u = sum_k u_k e_k gets the multiplier
-    sum_k u_k lambda_k.  That is >= 0 once eps lambda_j <= lambda_i in every
-    entry, so eps is the largest power of two at most 1/2 and at most every
-    ratio min_i lambda_i[r] / max_j lambda_j[r]; the rows stay dyadic.  Any
-    eps > 0 keeps the padded system Positive, since these rows span Sym(n)
-    with the identity inside their cone.  No LP per row.
-    """
+def _realize(P: Polyhedron, bounded_only: bool) -> Embedding:
+    """The one realization route; see the module docstring."""
+    ctx = P.ctx
     bounded = boundedness(P)
     if bounded.is_positive:
-        return _pad_with_companion(P, bounded.witness_t)
-    lams = _farkas_witnesses(P)
-    ctx = P.ctx
-    n = P.dim
-    by_row = list(zip(*lams))
-    ratio = min(min(col) / max(col) for col in by_row)
-    eps = ctx.one() / 2
-    while ratio < eps:
-        eps /= 2
-    unit = [[ctx.one() if k == i else ctx.zero() for k in range(n)] for i in range(n)]
-    aux = unit + [
-        [x + s * eps * y for x, y in zip(unit[i], unit[j])]
-        for i in range(n) for j in range(n) if i != j for s in (-1, 1)
-    ]
-    return _pad_and_embed(
-        P, aux, lambda added: [[dot(u, col) for col in by_row] for u in added]
-    )
+        eps, multipliers = ctx.one(), _stiemke_multipliers(P, bounded.witness_t)
+    elif bounded_only:
+        raise UnboundedPolyhedron("use realize_unbounded for unbounded inputs")
+    else:
+        by_row = list(zip(*_farkas_witnesses(P)))
+        ratio = min(min(col) / max(col) for col in by_row)
+        eps = ctx.one() / 2
+        while ratio < eps:
+            eps /= 2
+
+        def multipliers(added):
+            return [[dot(u, col) for col in by_row] for u in added]
+
+    return _pad_and_embed(P, _shear_family(P.dim, eps, ctx), multipliers)
+
+
+def realize_polytope(P: Polyhedron) -> Embedding:
+    """Isometric orthant section of a bounded polyhedron; raises
+    UnboundedPolyhedron otherwise."""
+    return _realize(P, bounded_only=True)
+
+
+def realize_unbounded(P: Polyhedron) -> Embedding:
+    """Isometric orthant section of a bounded polyhedron, or of an unbounded
+    one whose recession rays are strictly positive; refuses the rest."""
+    return _realize(P, bounded_only=False)

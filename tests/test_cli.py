@@ -160,6 +160,9 @@ def test_realize_endgo7_beyond_the_ray_guard():
     assert json.loads(out)["target_dim"] == 154
 
 
+QUADRANT = '{"dim": 2, "rows": [{"a": ["1", "0"], "b": "0"}, {"a": ["0", "1"], "b": "0"}]}'
+
+
 @pytest.mark.parametrize(
     "argv, doc",
     [
@@ -174,11 +177,14 @@ def test_realize_endgo7_beyond_the_ray_guard():
         (["gen", "endgo", ""], ""),
         (["gen", "cube", "2", "3"], ""),
         (["gen", "endgo", "3", "1"], ""),
+    ] + [
+        (["--backend", "float", "--tol", tol, "is-orthant", "-"], QUADRANT)
+        for tol in ("0", "-1", "nan")
     ],
     ids=[
         "dim-not-an-integer", "numbers-for-scalars", "float-overflow",
         "gen-cube-x", "gen-cross-1.5", "gen-endgo-empty",
-        "gen-cube-2-3", "gen-endgo-3-1",
+        "gen-cube-2-3", "gen-endgo-3-1", "tol-0", "tol-negative", "tol-nan",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(argv, doc):

@@ -5,7 +5,9 @@ certificate routes inside realize are checked the same way: the Farkas
 witness verdict against brute-force ray enumeration, refusals by the
 recession direction their message names, and every added row's multiplier
 (Stiemke shifts when bounded, Farkas witness combinations when unbounded)
-against Fourier-Motzkin minima.  A guard pins realize's LP count."""
+against Fourier-Motzkin minima.  The shear family at eps = 1 is checked
+line by line against generate_max_rank_orthant, and a guard pins realize's
+LP count."""
 
 import random
 import re
@@ -213,6 +215,30 @@ def test_turned_shear_is_still_refused():
     check_realization(P, realize_unbounded(P))
     with pytest.raises(RecessionNotStrictlyPositive):
         realize_unbounded(turned(P))
+
+
+def lines(rows, ctx):
+    """rows with repeated lines dropped, first occurrence kept, as in _pad_and_embed."""
+    seen, out = set(), []
+    for r in rows:
+        key = realize._direction_key(r, ctx)
+        if key not in seen:
+            seen.add(key)
+            out.append(list(r))
+    return out
+
+
+@pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_shear_family_at_eps_one_is_the_companion(n, ctx):
+    # bounded inputs are padded with the shear family at eps = 1; its lines
+    # are those of generate_max_rank_orthant(n), in order and with equal
+    # entries, so a bounded realization adds exactly that family's lines
+    family = lines(realize._shear_family(n, ctx.one(), ctx), ctx)
+    companion = generate_max_rank_orthant(n, ctx)
+    assert family == lines([companion.A.row(i) for i in range(companion.nfacets)], ctx)
+    assert len(family) == n * n
+    assert all(type(x) is type(ctx.one()) and str(x) != "-0.0" for r in family for x in r)
 
 
 # ---------------------------------------------------------------------------
