@@ -32,8 +32,8 @@ class Context:
     def __post_init__(self):
         if self.backend not in (EXACT_BACKEND, FLOAT_BACKEND):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.backend == FLOAT_BACKEND and not self.tol > 0:
-            raise ValueError("float backend needs a positive tolerance")
+        if self.backend == FLOAT_BACKEND and not 0 < self.tol < float("inf"):
+            raise ValueError("float backend needs a positive finite tolerance")
 
     @property
     def is_exact(self) -> bool:

@@ -112,15 +112,10 @@ def normalize(vec: Sequence[Scalar], ctx: Context) -> tuple:
     return tuple(float(x) / norm for x in vec)
 
 
-def proportional(u: Sequence[Scalar], v: Sequence[Scalar], ctx: Context) -> Optional[Scalar]:
-    """The scalar lam with v = lam * u for a nonzero u, or None."""
-    k = next((i for i in range(len(u)) if ctx.sign(u[i]) != 0), None)
-    if k is None:
-        return None
-    lam = v[k] / u[k]
-    if all(ctx.is_zero(y - lam * x) for x, y in zip(u, v)):
-        return lam
-    return None
+def _tol_key(vec: Sequence[Scalar], ctx: Context) -> tuple:
+    """A hashable key for vec: the vector itself (exact) or its entries
+    rounded to multiples of ``tol`` (float)."""
+    return tuple(vec) if ctx.is_exact else tuple(round(float(x) / ctx.tol) for x in vec)
 
 
 def _echelon(M: Mat, rhs: Sequence[Sequence[Scalar]] = (), width: Optional[int] = None):

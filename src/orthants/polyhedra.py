@@ -6,10 +6,12 @@ line) is the standing assumption of every decision procedure here, since a
 degenerate set can never sit inside a nonnegative orthant.
 
 Emptiness and full-dimensionality are detected with one interior-point
-linear program instead of any vertex enumeration; redundancy removal runs
-one n-row dual LP per inequality.  Both LPs are solved as their duals,
-which have one row per coordinate and one nonnegative column per
-inequality: n rows instead of m, and no free variables to split.
+linear program instead of any vertex enumeration.  Redundancy removal
+shoots one ray per inequality from that interior point and runs an n-row
+dual LP only for the rows that no shot certifies as facets.  Both LPs are
+solved as their duals, which have one row per coordinate and one
+nonnegative column per inequality: n rows instead of m, and no free
+variables to split.
 Boundedness is one certified LP as well, the case u = 0 of the strict
 multiplier LP u = A^T lambda, lambda > 0, which also gives realize its
 Farkas witnesses.  Recession rays and vertices are still found by
@@ -34,7 +36,7 @@ from .errors import (
     EmptyPolyhedron,
     ShapeMismatch,
 )
-from .matrix import Mat, dot, kernel_basis, normalize, proportional, rank, solve_linear
+from .matrix import Mat, _tol_key, dot, kernel_basis, normalize, rank, solve_linear
 from . import lp
 
 _RAY_DIM_GUARD = 6
@@ -79,11 +81,6 @@ class Polyhedron:
             ctx.sign(dot(self.A.row(i), point) - self.b[i]) >= 0
             for i in range(self.nfacets)
         )
-
-    def subsystem(self, row_idx: Sequence[int]) -> "Polyhedron":
-        rows = [self.A.row(i) for i in row_idx]
-        offs = [self.b[i] for i in row_idx]
-        return Polyhedron.from_rows(rows, offs, self.ctx)
 
 
 class _System(NamedTuple):
@@ -184,41 +181,72 @@ def functional_min(P: Polyhedron, f: Sequence[Scalar]):
 def remove_redundant(P: Polyhedron) -> Polyhedron:
     """The minimal subsystem defining the same full-dimensional set.
 
-    Duplicated directions are collapsed to their tightest offset first, so
-    the per-row LP test never sees the classic twin-row blind spot (two
-    copies of one inequality shadowing each other).  Then row i is kept
-    exactly when minimizing its normal over the remaining rows dips below
-    b_i, or is unbounded (the dual LP is infeasible; the interior point
-    has already shown that the rows are not empty).
+    Duplicated directions are collapsed to their tightest offset first (one
+    dict keyed by the normalized row), so no test below sees the classic
+    twin-row blind spot (two copies of one inequality shadowing each other).
+    Then each row j shoots a ray from the interior point x0 along -a_j
+    (Clarkson 1994).  Row k is crossed at t = s_k / (a_k.a_j), its slack
+    s_k = a_k.x0 - b_k over its speed, whenever a_k.a_j > 0 (row j itself
+    always is).  If exactly one row k is crossed first, the crossing point
+    lies on k's hyperplane and strictly inside every other row, so a point
+    just past it violates k alone: without k the set would grow, k is a
+    facet, and it is kept with no LP.  On a tie (within ``tol`` on the float
+    backend) the shot certifies nothing.  Every row that no shot certifies
+    gets the LP test: it is kept exactly when minimizing its normal over the
+    remaining rows dips below b_j, or is unbounded (the dual LP is
+    infeasible; x0 has already shown that the rows are not empty).  That LP
+    is the only way a row is dropped.
     """
     ctx = P.ctx
-    if interior_point(P) is None:
+    x0 = interior_point(P)
+    if x0 is None:
         raise EmptyOrLowerDimensional(
             "system has no interior point; cannot normalize to a minimal form"
         )
-    kept = []
-    for i in range(P.nfacets):
-        row_i, b_i = P.A.row(i), P.b[i]
-        merged = False
-        for pos, (row_k, b_k, _) in enumerate(kept):
-            lam = proportional(row_k, row_i, ctx)
-            if lam is not None and ctx.sign(lam) > 0:
-                # same halfspace direction; keep the tighter offset
-                if ctx.lt(b_k, b_i / lam):
-                    kept[pos] = (row_k, b_i / lam, kept[pos][2])
-                merged = True
-                break
-        if not merged:
-            kept.append((row_i, b_i, i))
+    kept, slot = [], {}
+    for row, off in zip(P.A.data, P.b):
+        key = _tol_key(normalize(row, ctx), ctx)
+        if key not in slot:
+            slot[key] = len(kept)
+            kept.append([row, off])
+            continue
+        # same halfspace direction, row = lam * first; keep the tighter offset
+        first = kept[slot[key]]
+        off = off * dot(first[0], first[0]) / dot(row, first[0])
+        if ctx.lt(first[1], off):
+            first[1] = off
+
+    m = len(kept)
+    slack = [dot(a, x0) - b for a, b in kept]
+    gram = [[None] * m for _ in range(m)]
+    for j in range(m):
+        for k in range(j + 1):
+            gram[j][k] = gram[k][j] = dot(kept[j][0], kept[k][0])
+    facets = set()
+    for speed in gram:
+        hit, tie = None, False
+        for k, v in enumerate(speed):
+            if ctx.sign(v) <= 0:
+                continue
+            # compare the crossing times s_k / v and s_hit / speed[hit] undivided
+            c = -1 if hit is None else ctx.sign(slack[k] * speed[hit] - slack[hit] * v)
+            if c < 0:
+                hit, tie = k, False
+            elif c == 0:
+                tie = True
+        if hit is not None and not tie:
+            facets.add(hit)
 
     result = []
-    for j, (row_j, b_j, orig) in enumerate(kept):
-        others = [kept[k] for k in range(len(kept)) if k != j]
-        val = _functional_min_rows(
-            [r for r, _, _ in others], [o for _, o, _ in others], list(row_j), ctx
-        )
-        if val is None or ctx.lt(val, b_j):
-            result.append((row_j, b_j))
+    for j, (row_j, b_j) in enumerate(kept):
+        if j not in facets:
+            others = kept[:j] + kept[j + 1:]
+            val = _functional_min_rows(
+                [r for r, _ in others], [o for _, o in others], list(row_j), ctx
+            )
+            if val is not None and not ctx.lt(val, b_j):
+                continue
+        result.append((row_j, b_j))
     if not result:
         raise EmptyOrLowerDimensional("every inequality turned out removable")
     return Polyhedron.from_rows(
@@ -255,7 +283,7 @@ def recession_rays(P: Polyhedron) -> Cone:
             continue
         if all(ctx.sign(dot(P.A.row(i), d)) >= 0 for i in range(m)):
             prim = normalize(d, ctx)
-            key = tuple(prim) if ctx.is_exact else tuple(round(v / ctx.tol) for v in prim)
+            key = _tol_key(prim, ctx)
             if key not in seen:
                 seen.add(key)
                 rays.append(prim)
@@ -306,11 +334,7 @@ def vertices(P: Polyhedron) -> list:
         if x is None:
             continue
         if P.contains(x):
-            key = (
-                tuple(x)
-                if ctx.is_exact
-                else tuple(round(float(v) / ctx.tol) for v in x)
-            )
+            key = _tol_key(x, ctx)
             if key not in seen:
                 seen.add(key)
                 out.append(tuple(x))

@@ -43,7 +43,7 @@ from .errors import (
     RecessionNotStrictlyPositive,
     UnboundedPolyhedron,
 )
-from .matrix import Mat, dot, normalize, solve_columns
+from .matrix import Mat, _tol_key, dot, normalize, solve_columns
 from .polyhedra import Polyhedron, _strict_multiplier, boundedness, require_nondegenerate
 from .frames import build, system_from_normals
 from . import lp
@@ -135,7 +135,7 @@ def _direction_key(a, ctx: Context) -> tuple:
     d = normalize(a, ctx)
     if next(x for x in d if ctx.sign(x) != 0) < 0:
         d = tuple(-x for x in d)
-    return d if ctx.is_exact else tuple(round(x / ctx.tol) for x in d)
+    return _tol_key(d, ctx)
 
 
 def _stiemke_multipliers(P: Polyhedron, y):

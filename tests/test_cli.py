@@ -179,12 +179,13 @@ QUADRANT = '{"dim": 2, "rows": [{"a": ["1", "0"], "b": "0"}, {"a": ["0", "1"], "
         (["gen", "endgo", "3", "1"], ""),
     ] + [
         (["--backend", "float", "--tol", tol, "is-orthant", "-"], QUADRANT)
-        for tol in ("0", "-1", "nan")
+        for tol in ("0", "-1", "nan", "inf")
     ],
     ids=[
         "dim-not-an-integer", "numbers-for-scalars", "float-overflow",
         "gen-cube-x", "gen-cross-1.5", "gen-endgo-empty",
         "gen-cube-2-3", "gen-endgo-3-1", "tol-0", "tol-negative", "tol-nan",
+        "tol-inf",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(argv, doc):
@@ -193,6 +194,8 @@ def test_malformed_input_exits_2_without_traceback(argv, doc):
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+    if "--tol" in argv:
+        assert err.startswith("error: --tol ")
 
 
 

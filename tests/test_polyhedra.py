@@ -18,6 +18,7 @@ from orthants import (
     remove_redundant,
     vertices,
 )
+from orthants import polyhedra
 from orthants.context import EXACT, FLOAT
 from orthants.errors import (
     DegeneratePolyhedron,
@@ -29,6 +30,20 @@ from orthants.errors import (
 from orthants.matrix import dot
 from conftest import rand_frac
 from oracles import functional_minimum, strictly_feasible
+
+
+def counting_lp_tests(monkeypatch):
+    """Record the normal of every row that remove_redundant sends to its LP
+    test, in a list that is returned and fills up as it runs."""
+    tests, lp_test = [], polyhedra._functional_min_rows
+
+    def counted(normals, offsets, f, ctx):
+        tests.append(tuple(f))
+        return lp_test(normals, offsets, f, ctx)
+
+    monkeypatch.setattr(polyhedra, "_functional_min_rows", counted)
+    return tests
+
 
 SQUARE = Polyhedron.from_rows(
     [[1, 0], [0, 1], [-1, 0], [0, -1]], [0, 0, -1, -1], EXACT
@@ -108,6 +123,23 @@ class TestRemoveRedundant:
         for _ in range(100):
             x = [rand_frac(rng, -3, 3, 4), rand_frac(rng, -3, 3, 4)]
             assert P.contains(x) == red.contains(x)
+
+    @pytest.mark.parametrize("diagonal_first", [False, True])
+    def test_tied_shot_is_left_to_the_lp(self, monkeypatch, diagonal_first):
+        # From the centre, the shot along -(1, 1) reaches x >= 0, y >= 0 and
+        # x + y >= 0 at once, at (0, 0): no row is certified by it, whichever
+        # of the three comes first, and the LP test then drops x + y >= 0.
+        # The four sides are certified by their own shots, so that is the
+        # only LP.
+        sides = [([1, 0], 0), ([0, 1], 0), ([-1, 0], -1), ([0, -1], -1)]
+        rows = [([1, 1], 0)] + sides if diagonal_first else sides + [([1, 1], 0)]
+        P = Polyhedron.from_rows([a for a, _ in rows], [b for _, b in rows], EXACT)
+        half = Fraction(1, 2)
+        monkeypatch.setattr(polyhedra, "interior_point", lambda _: (half, half))
+        tests = counting_lp_tests(monkeypatch)
+        red = remove_redundant(P)
+        assert [(list(a), b) for a, b in zip(red.A.data, red.b)] == sides
+        assert tests == [(1, 1)]
 
     def test_empty_system_raises(self):
         empty = Polyhedron.from_rows([[1], [-1]], [1, 0], EXACT)
@@ -243,15 +275,17 @@ class TestAgainstFourierMotzkin:
                     assert abs(got - float(expected)) < 1e-6
         assert outcomes == {"empty", "unbounded", "value"}
 
-    def test_remove_redundant(self):
+    def test_remove_redundant(self, monkeypatch):
         rng = random.Random(2025)
-        reduced = 0
+        reduced = rows_tested = 0
+        tests = counting_lp_tests(monkeypatch)
         for _ in range(SYSTEMS):
             rows, offsets = random_system(rng)
-            P = Polyhedron.from_rows(rows, offsets, EXACT)
+            exact, approx = (Polyhedron.from_rows(rows, offsets, ctx) for ctx in (EXACT, FLOAT))
             if not strictly_feasible(rows, offsets):
-                with pytest.raises(EmptyOrLowerDimensional):
-                    remove_redundant(P)
+                for P in (exact, approx):
+                    with pytest.raises(EmptyOrLowerDimensional):
+                        remove_redundant(P)
                 continue
             merged = merged_rows(rows, offsets)
             expected = []
@@ -263,10 +297,19 @@ class TestAgainstFourierMotzkin:
                 assert low != "empty"
                 if low == "unbounded" or low < b:
                     expected.append((tuple(a), b))
-            red = remove_redundant(P)
+            red = remove_redundant(exact)
             assert list(zip(red.A.data, red.b)) == expected
+            # the float backend keeps the same rows and offsets
+            got = remove_redundant(approx)
+            assert got.nfacets == len(expected)
+            for (a, b), u, c in zip(expected, got.A.data, got.b):
+                assert abs(float(b) - c) < 1e-9
+                assert all(abs(float(x) - y) < 1e-9 for x, y in zip(a, u))
             reduced += len(expected) < len(merged)
+            rows_tested += 2 * len(merged)
         assert reduced > SYSTEMS // 10
+        # both routes settle a share of the rows: the ray shots and the LPs
+        assert 0 < len(tests) < rows_tested
 
     def test_interior_point(self):
         rng = random.Random(2026)
