@@ -5,13 +5,14 @@ The engine is a dense two-phase simplex, pivoting by Bland's rule
 index).  On the exact backend floats choose the basis and exact arithmetic
 proves it (Applegate, Cook, Dash & Espinoza 2007; Gleixner, Steffy &
 Wolter 2016): the simplex first runs on float copies of the data, and only
-its final basis is kept.  Two fraction-free solves with that basis give
-the primal point and the dual vector, and the answer is accepted only when
-they pass the exact optimality or Farkas checks below.  Whenever the float
-run or a check fails, the same LP runs through the exact Bland simplex,
-which terminates in exact arithmetic and is the reference route.  No float
-number reaches an exact answer.  The float backend runs the simplex once,
-in floats.
+its final basis is kept.  With every column scaled to integers once, two
+fraction-free solves with that basis give the primal point and the dual
+vector over a common denominator, and the answer is accepted only when
+they pass the integer optimality or Farkas checks below; Fractions are
+built only for the answer.  Whenever the float run or a check fails, the
+same LP runs through the exact Bland simplex, which terminates in exact
+arithmetic and is the reference route.  No float number reaches an
+exact answer.  The float backend runs the simplex once, in floats.
 
 Every outcome carries an exactly checkable object: an optimal point with
 its dual vector, a Farkas ray proving infeasibility, or an improving ray
@@ -28,11 +29,13 @@ nonnegative terms, positive unless yQ = 0, in which case y.c = 0 as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .context import FLOAT, Context, Scalar
 from .errors import OrthantsError, ShapeMismatch
-from .matrix import Mat, dot, primitive, solve_linear
+from .matrix import Mat, _solve_integers, dot, primitive
 
 _MAX_PIVOTS = 200_000
 
@@ -251,7 +254,7 @@ def simplex_standard(A_rows: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
     """
     if ctx.is_exact:
         try:
-            return _prove_basis(A_rows, b, c, ctx, *_float_guess(A_rows, b, c))
+            return _prove_basis(A_rows, b, c, *_float_guess(A_rows, b, c))
         except (OverflowError, OrthantsError):
             pass  # the exact Bland run below decides the LP
     return _bland_simplex(A_rows, b, c, ctx)
@@ -300,56 +303,66 @@ def _float_guess(A_rows, b, c):
     return status, tab.basis, tab.flip
 
 
-def _prove_basis(A_rows, b, c, ctx: Context, status, basis, flip):
+def _prove_basis(A_rows, b, c, status, basis, flip):
     """The exact outcome that a guessed basis proves; raises OrthantsError
     when the guess proves nothing.
 
-    Column n+k of the basis is the artificial of row k, flip[k] e_k in the
-    original row signs.  An "infeasible" guess yields r = -y from y B = c_B
-    with the phase-1 costs (-1 on artificials), accepted when r.A_j <= 0
-    for every column and r.b > 0.  An "optimal" guess yields x_B from
-    B x_B = b and y from y B = c_B, accepted when x >= 0, every basic
-    artificial is exactly 0, A x = b, y.A_j >= c_j for every column j and
-    y.b = c.x, which proves x optimal and y dual optimal.  A singular
-    basis fails when its system has no solution; if its solutions pass
-    every check anyway, they are a proof all the same.
+    The proof runs on integers: A~ = A diag(sigma), with sigma_j the lcm of
+    column j's denominators, b~ = beta b and c~_j = gamma c_j sigma_j; per
+    column, since a weighting row of Q mixes every facet's denominators.
+    Column n+k of the basis is the artificial flip[k] e_k.  Fraction-free
+    solves give B~ z = b~ as Z / D and y B~ = c~_B as Y / E, free variables
+    at zero as before scaling.  An "infeasible" guess (-1 on artificials)
+    gives the Farkas ray -Y / E if Y.A~_j >= 0 for every j and Y.b~ < 0.
+    An "optimal" guess needs basic artificials at 0, A~ Z = b~ D, Z >= 0,
+    Y.A~_j >= c~_j E for every j and (Y.b~) D = (c~.Z) E; then
+    x_j = sigma_j Z_j / (D beta) is optimal and Y / (E gamma) dual optimal.
+    A singular basis whose solutions pass every check proves all the same.
     """
     m, n = len(A_rows), len(c)
-    zero = ctx.zero()
-    columns = [[row[j] for row in A_rows] for j in range(n)]
-    Bt = Mat(
-        tuple(
-            tuple(columns[j]) if j < n
-            else tuple(flip[j - n] if i == j - n else zero for i in range(m))
-            for j in basis
-        ),
-        ctx,
-    )
+    sigma = [lcm(*(row[j].denominator for row in A_rows)) for j in range(n)]
+    cols = [
+        [row[j].numerator * (s // row[j].denominator) for row in A_rows]
+        for j, s in enumerate(sigma)
+    ]
+    beta = lcm(*(v.denominator for v in b))
+    bt = [v.numerator * (beta // v.denominator) for v in b]
+    basic = [
+        cols[j] if j < n else [flip[j - n] if i == j - n else 0 for i in range(m)]
+        for j in basis
+    ]
     if status == "infeasible":
-        y = solve_linear(Bt, [-ctx.one() if j >= n else zero for j in basis])
-        if y is None:
+        sol = _solve_integers(basic, [-1 if j >= n else 0 for j in basis])
+        if sol is None:
             raise OrthantsError("guessed basis is singular")
-        r = [-v for v in y]
-        if any(dot(r, col) > 0 for col in columns) or dot(r, b) <= 0:
+        Y, E = sol
+        if any(dot(Y, col) < 0 for col in cols) or dot(Y, bt) >= 0:
             raise OrthantsError("guessed basis gives no Farkas ray")
-        return Infeasible(tuple(r))
+        return Infeasible(tuple(Fraction(-v, E) for v in Y))
     if status != "optimal":
         raise OrthantsError(f"float simplex ended {status}")
-    x_B = solve_linear(Bt.transpose(), b)
-    y = solve_linear(Bt, [c[j] if j < n else zero for j in basis])
-    if x_B is None or y is None:
+    gamma = lcm(*(v.denominator for v in c))
+    ct = [v.numerator * (gamma // v.denominator) * s for v, s in zip(c, sigma)]
+    primal = _solve_integers(list(zip(*basic)), bt)
+    dual = _solve_integers(basic, [ct[j] if j < n else 0 for j in basis])
+    if primal is None or dual is None:
         raise OrthantsError("guessed basis is singular")
-    x = [zero] * n
-    for j, v in zip(basis, x_B):
-        if j < n:
-            x[j] = v
-        elif v != 0:
-            raise OrthantsError("guessed basis keeps an artificial above 0")
-    _check_exact(A_rows, b, x)
-    value = dot(c, x)
-    if any(dot(y, col) < cj for col, cj in zip(columns, c)) or dot(y, b) != value:
+    (Z, D), (Y, E) = primal, dual
+    if any(v for j, v in zip(basis, Z) if j >= n):
+        raise OrthantsError("guessed basis keeps an artificial above 0")
+    support = [(j, v) for j, v in zip(basis, Z) if j < n and v]
+    if any(sum(cols[j][i] * v for j, v in support) != bi * D for i, bi in enumerate(bt)):
+        raise OrthantsError("simplex returned an inexact point")
+    if any(v < 0 for _, v in support):
+        raise OrthantsError("simplex returned an infeasible point")
+    value = sum(ct[j] * v for j, v in support)
+    if any(dot(Y, col) < cj * E for col, cj in zip(cols, ct)) or dot(Y, bt) * D != value * E:
         raise OrthantsError("guessed basis is not optimal")
-    return Optimal(tuple(x), value, tuple(y))
+    x = [Fraction(0)] * n
+    for j, v in support:
+        x[j] = Fraction(sigma[j] * v, D * beta)
+    y = tuple(Fraction(v, E * gamma) for v in Y)
+    return Optimal(tuple(x), Fraction(value, gamma * D * beta), y)
 
 
 def _check_exact(A_rows, b, x):

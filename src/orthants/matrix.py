@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .context import Context, Scalar, common_context
+from .context import EXACT, Context, Scalar, common_context
 from .errors import ShapeMismatch
 
 
@@ -228,6 +228,22 @@ def solve_columns(M: Mat, rhss: Sequence[Sequence[Scalar]]) -> list:
             x[col] = _ratio(row[k], row[col], ctx)
         out.append(x)
     return out
+
+
+def _solve_integers(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[tuple]:
+    """solve_linear for a square integer system as (numerators, d > 0), d the
+    common final pivot of the fraction-free reduction; None if inconsistent."""
+    n = len(rhs)
+    augmented = Mat(tuple((*row, r) for row, r in zip(rows, rhs)), EXACT)
+    a, pivots, _, _ = _echelon(augmented, width=n)
+    if any(row[n] for row in a[len(pivots):]):
+        return None
+    d = a[0][pivots[0]] if pivots else 1
+    s = 1 if d > 0 else -1
+    x = [0] * n
+    for row, col in zip(a, pivots):
+        x[col] = s * row[n]
+    return x, s * d
 
 
 def kernel_basis(M: Mat) -> list:

@@ -1,0 +1,67 @@
+from fractions import Fraction
+
+import pytest
+
+from orthants.context import EXACT, FLOAT, Context, common_context
+from orthants.errors import BackendMismatch, ParseError
+
+
+class TestContext:
+    def test_parse_and_format_roundtrip(self):
+        for text in ["3/4", "-3/4", "5", "-5", "0"]:
+            x = EXACT.parse(text)
+            assert EXACT.format(x) == text
+
+    def test_parse_rejects_garbage(self):
+        with pytest.raises(ParseError):
+            EXACT.parse("three halves")
+
+    def test_float_tolerance_sign(self):
+        assert FLOAT.sign(1e-12) == 0
+        assert FLOAT.sign(1e-6) == 1
+        assert FLOAT.sign(-1e-6) == -1
+        assert EXACT.sign(Fraction(1, 10**12)) == 1
+
+    def test_exact_refuses_floats(self):
+        with pytest.raises(BackendMismatch):
+            EXACT.coerce(0.5)
+
+    def test_custom_tolerance(self):
+        loose = Context("float", 1e-3)
+        assert loose.is_zero(5e-4)
+        assert not FLOAT.is_zero(5e-4)
+
+    @pytest.mark.parametrize(
+        "tol", [0, -1, float("inf"), float("nan")], ids=["zero", "negative", "inf", "nan"]
+    )
+    def test_float_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError):
+            Context("float", tol)
+
+    def test_unknown_backend(self):
+        with pytest.raises(ValueError):
+            Context("decimal")
+
+    def test_common_context(self):
+        assert common_context(EXACT, Context()) is EXACT
+        assert common_context(FLOAT, Context("float", 1e-3)) is FLOAT
+        with pytest.raises(BackendMismatch):
+            common_context(EXACT, FLOAT)
+        with pytest.raises(BackendMismatch):
+            common_context(FLOAT, FLOAT, EXACT)
+
+    def test_coerce_parses_strings(self):
+        assert EXACT.coerce("-6/4") == Fraction(-3, 2)
+        assert type(EXACT.coerce(" 7 ")) is Fraction
+        assert FLOAT.coerce("1/4") == 0.25
+        assert FLOAT.coerce("2.5e-3") == 0.0025
+        for ctx in (EXACT, FLOAT):
+            with pytest.raises(ParseError):
+                ctx.coerce("1/0")
+
+    def test_format_on_each_backend(self):
+        assert EXACT.format(Fraction(-6, 4)) == "-3/2"
+        assert EXACT.format(Fraction(10**30, 7)) == f"{10**30}/7"
+        assert FLOAT.format(0.25) == "0.25"
+        assert FLOAT.format(Fraction(1, 3)) == repr(1 / 3)
+        assert FLOAT.format(-1e-300) == "-1e-300"

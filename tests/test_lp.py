@@ -17,6 +17,7 @@ from orthants import (
 )
 from orthants import lp
 from orthants.context import Context, EXACT, FLOAT
+from orthants.errors import OrthantsError
 from orthants.frames import BangSystem, coordinate_pairs, system_from_normals
 from orthants.lp import simplex_standard
 from orthants.matrix import dot
@@ -412,3 +413,191 @@ class TestAgainstOracle:
                 E.matmul(system.Q).data, E.matvec(list(system.c))
             )
             assert decide_positive(mapped).verdict == decide_positive(system).verdict
+
+
+# ---------------------------------------------------------------------------
+# the integer proof of a basis against the exact Bland route
+
+
+def recorded_lps(monkeypatch, systems):
+    """The standard-form LPs (A_rows, b, c) that decide_positive solves."""
+    lps = []
+    solve_lp = lp.simplex_standard
+
+    def record(A_rows, b, c, ctx):
+        lps.append((A_rows, b, c))
+        return solve_lp(A_rows, b, c, ctx)
+
+    with monkeypatch.context() as m:
+        m.setattr(lp, "simplex_standard", record)
+        for system in systems:
+            decide_positive(system)
+    return lps
+
+
+def coprime_lp(rng):
+    """A feasible LP whose entries have large pairwise-coprime denominators."""
+    primes = (10007, 10009, 10037)
+    n, m = rng.randint(2, 5), rng.randint(1, 3)
+    rows = [
+        [Fraction(rng.randint(-9, 9), rng.choice(primes)) for _ in range(n)]
+        for _ in range(m)
+    ]
+    x0 = [Fraction(rng.randint(0, 5), rng.choice(primes)) for _ in range(n)]
+    c = [Fraction(rng.randint(-5, 5), rng.choice(primes)) for _ in range(n)]
+    return rows, [dot(row, x0) for row in rows], c
+
+
+def canonical_normals_systems(rng, count, n=6, m=12):
+    """Weighting systems of canonical random normals whose scales s_i differ."""
+    from orthants import Polyhedron, build, rank, reduce
+
+    out = []
+    while len(out) < count:
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        if not all(any(r) for r in rows) or rank(Mat.from_rows(rows, EXACT)) < n:
+            continue
+        _, canonical = reduce(Polyhedron.from_rows(rows, [-1] * m, EXACT))
+        dens = {max(x.denominator for x in canonical.A.row(i)) for i in range(canonical.nfacets)}
+        if canonical.nfacets == m and len(dens) > 1:
+            out.append(build(canonical))
+    return out
+
+
+def assert_basis_proves_bland(rows, b, c):
+    """The exact Bland run's final basis, proved in integers, gives the
+    Bland outcome Fraction for Fraction; returns the outcome class."""
+    tab = lp._Tableau(rows, b, len(c), EXACT)
+    status = tab.two_phase(c)[0]
+    ref = lp._bland_simplex(rows, b, c, EXACT)
+    if status == "unbounded":
+        assert isinstance(ref, Unbounded)
+        with pytest.raises(OrthantsError):
+            lp._prove_basis(rows, b, c, status, tab.basis, tab.flip)
+        return Unbounded
+    res = lp._prove_basis(rows, b, c, status, tab.basis, tab.flip)
+    assert res == ref
+    if isinstance(res, Optimal):
+        numbers = [*res.x, res.value, *res.dual]
+    else:
+        numbers = list(res.dual_ray)
+    assert all(type(v) is Fraction for v in numbers)
+    return type(res)
+
+
+class TestIntegerProof:
+    """_prove_basis on the basis where the exact Bland run ends must give
+    exactly the Bland outcome, whatever the denominators."""
+
+    def test_random_redundant_lps(self):
+        rng = random.Random(8)
+        seen = {Optimal: 0, Infeasible: 0, Unbounded: 0}
+        for _ in range(200):
+            seen[assert_basis_proves_bland(*random_redundant_lp(rng))] += 1
+        assert min(seen.values()) > 10
+
+    def test_decide_lps_of_random_bangs(self, monkeypatch):
+        rng = random.Random(9)
+        lps = recorded_lps(monkeypatch, [random_bang(rng) for _ in range(120)])
+        seen = {assert_basis_proves_bland(*problem) for problem in lps}
+        assert seen == {Optimal, Infeasible}
+
+    def test_coprime_large_denominators(self):
+        rng = random.Random(10)
+        seen = {Optimal: 0, Infeasible: 0, Unbounded: 0}
+        for _ in range(120):
+            seen[assert_basis_proves_bland(*coprime_lp(rng))] += 1
+        assert seen[Optimal] > 20 and seen[Unbounded] > 10
+
+    @pytest.mark.parametrize(
+        "n, m, ends", [(6, 12, {Infeasible}), (4, 12, {Optimal}), (3, 9, {Optimal})]
+    )
+    def test_decide_lps_of_canonical_normals(self, monkeypatch, n, m, ends):
+        # 6 x 12 systems are Inconsistent, 4 x 12 NotPositive, 3 x 9 mixed
+        systems = canonical_normals_systems(random.Random(12), 8, n, m)
+        lps = recorded_lps(monkeypatch, systems)
+        assert {assert_basis_proves_bland(*problem) for problem in lps} == ends
+
+
+def tampered_read_off(monkeypatch, which, position):
+    """Make the integer read-off return one numerator raised by 1: in the
+    primal solve (which = 0) or the dual solve (which = 1) of the proof."""
+    solve_integers = lp._solve_integers
+    calls = []
+
+    def tampered(rows, rhs):
+        numerators, d = solve_integers(rows, rhs)
+        if len(calls) == which:
+            numerators = list(numerators)
+            numerators[position] += 1
+        calls.append(rhs)
+        return numerators, d
+
+    monkeypatch.setattr(lp, "_solve_integers", tampered)
+
+
+def counted_bland(monkeypatch):
+    bland = lp._bland_simplex
+    runs = []
+
+    def counted(*args):
+        runs.append(args)
+        return bland(*args)
+
+    monkeypatch.setattr(lp, "_bland_simplex", counted)
+    return runs
+
+
+class TestTamperedReadOff:
+    """A wrong numerator from the integer solves must be caught by the
+    integer checks and end on the exact Bland route."""
+
+    @pytest.mark.parametrize("problem", [GUESS_LP, "acute"], ids=["guess-lp", "acute"])
+    def test_primal_numerator(self, monkeypatch, problem):
+        # a zero-cost basic column keeps c.x, so only A~ z = b~ D sees it
+        if problem == "acute":
+            problem = recorded_lps(monkeypatch, [ACUTE])[0]
+        rows, b, c = problem
+        _, basis, _ = lp._float_guess(rows, b, c)
+        k = next(k for k, j in enumerate(basis) if j < len(c) and c[j] == 0)
+        expected = lp._bland_simplex(rows, b, c, EXACT)
+        runs = counted_bland(monkeypatch)
+        tampered_read_off(monkeypatch, 0, k)
+        assert simplex_standard(rows, b, c, EXACT) == expected
+        assert len(runs) == 1
+
+    @pytest.mark.parametrize("problem", [GUESS_LP, "acute"], ids=["guess-lp", "acute"])
+    def test_dual_numerator(self, monkeypatch, problem):
+        if problem == "acute":
+            problem = recorded_lps(monkeypatch, [ACUTE])[0]
+        rows, b, c = problem
+        expected = lp._bland_simplex(rows, b, c, EXACT)
+        for i in range(len(b)):
+            with monkeypatch.context() as m:
+                runs = counted_bland(m)
+                tampered_read_off(m, 1, i)
+                assert simplex_standard(rows, b, c, EXACT) == expected
+                assert len(runs) == 1
+
+
+def test_rotated_endgo5_fallbacks_match_the_exact_route(monkeypatch):
+    # Cayley rotations of endgo 5: the float guess fails on some of them;
+    # those, and only as many as before the integer proof, reach Bland, and
+    # every verdict and certificate equals the all-Bland route's
+    from conftest import rational_rotation
+    from orthants import Polyhedron, build, generate_max_rank_orthant, reduce
+
+    def no_guess(A, b, c):
+        raise OverflowError("no float guess")
+
+    endgo = generate_max_rank_orthant(5)
+    systems = []
+    for seed in range(40):
+        R = rational_rotation(random.Random(seed), 5)
+        rows = [R.matvec(endgo.A.row(i)) for i in range(endgo.nfacets)]
+        systems.append(build(reduce(Polyhedron.from_rows(rows, endgo.b, EXACT))[1]))
+    runs = counted_bland(monkeypatch)
+    outcomes = [decide_positive(system) for system in systems]
+    assert 0 < len(runs) <= 8
+    monkeypatch.setattr(lp, "_float_guess", no_guess)
+    assert outcomes == [decide_positive(system) for system in systems]
