@@ -419,7 +419,7 @@ class TestAgainstOracle:
 # the integer proof of a basis against the exact Bland route
 
 
-def recorded_lps(monkeypatch, systems):
+def recorded_lps(systems):
     """The standard-form LPs (A_rows, b, c) that decide_positive solves."""
     lps = []
     solve_lp = lp.simplex_standard
@@ -428,7 +428,7 @@ def recorded_lps(monkeypatch, systems):
         lps.append((A_rows, b, c))
         return solve_lp(A_rows, b, c, ctx)
 
-    with monkeypatch.context() as m:
+    with pytest.MonkeyPatch.context() as m:
         m.setattr(lp, "simplex_standard", record)
         for system in systems:
             decide_positive(system)
@@ -496,9 +496,9 @@ class TestIntegerProof:
             seen[assert_basis_proves_bland(*random_redundant_lp(rng))] += 1
         assert min(seen.values()) > 10
 
-    def test_decide_lps_of_random_bangs(self, monkeypatch):
+    def test_decide_lps_of_random_bangs(self):
         rng = random.Random(9)
-        lps = recorded_lps(monkeypatch, [random_bang(rng) for _ in range(120)])
+        lps = recorded_lps([random_bang(rng) for _ in range(120)])
         seen = {assert_basis_proves_bland(*problem) for problem in lps}
         assert seen == {Optimal, Infeasible}
 
@@ -512,10 +512,10 @@ class TestIntegerProof:
     @pytest.mark.parametrize(
         "n, m, ends", [(6, 12, {Infeasible}), (4, 12, {Optimal}), (3, 9, {Optimal})]
     )
-    def test_decide_lps_of_canonical_normals(self, monkeypatch, n, m, ends):
+    def test_decide_lps_of_canonical_normals(self, n, m, ends):
         # 6 x 12 systems are Inconsistent, 4 x 12 NotPositive, 3 x 9 mixed
         systems = canonical_normals_systems(random.Random(12), 8, n, m)
-        lps = recorded_lps(monkeypatch, systems)
+        lps = recorded_lps(systems)
         assert {assert_basis_proves_bland(*problem) for problem in lps} == ends
 
 
@@ -548,16 +548,18 @@ def counted_bland(monkeypatch):
     return runs
 
 
+TAMPERED = [lambda: GUESS_LP, lambda: recorded_lps([ACUTE])[0]]
+TAMPERED_IDS = ["guess-lp", "acute"]
+
+
 class TestTamperedReadOff:
     """A wrong numerator from the integer solves must be caught by the
     integer checks and end on the exact Bland route."""
 
-    @pytest.mark.parametrize("problem", [GUESS_LP, "acute"], ids=["guess-lp", "acute"])
+    @pytest.mark.parametrize("problem", TAMPERED, ids=TAMPERED_IDS)
     def test_primal_numerator(self, monkeypatch, problem):
         # a zero-cost basic column keeps c.x, so only A~ z = b~ D sees it
-        if problem == "acute":
-            problem = recorded_lps(monkeypatch, [ACUTE])[0]
-        rows, b, c = problem
+        rows, b, c = problem()
         _, basis, _ = lp._float_guess(rows, b, c)
         k = next(k for k, j in enumerate(basis) if j < len(c) and c[j] == 0)
         expected = lp._bland_simplex(rows, b, c, EXACT)
@@ -566,11 +568,9 @@ class TestTamperedReadOff:
         assert simplex_standard(rows, b, c, EXACT) == expected
         assert len(runs) == 1
 
-    @pytest.mark.parametrize("problem", [GUESS_LP, "acute"], ids=["guess-lp", "acute"])
+    @pytest.mark.parametrize("problem", TAMPERED, ids=TAMPERED_IDS)
     def test_dual_numerator(self, monkeypatch, problem):
-        if problem == "acute":
-            problem = recorded_lps(monkeypatch, [ACUTE])[0]
-        rows, b, c = problem
+        rows, b, c = problem()
         expected = lp._bland_simplex(rows, b, c, EXACT)
         for i in range(len(b)):
             with monkeypatch.context() as m:
@@ -581,9 +581,9 @@ class TestTamperedReadOff:
 
 
 def test_rotated_endgo5_fallbacks_match_the_exact_route(monkeypatch):
-    # Cayley rotations of endgo 5: the float guess fails on some of them;
-    # those, and only as many as before the integer proof, reach Bland, and
-    # every verdict and certificate equals the all-Bland route's
+    # Cayley rotations of endgo 5: the float guess fails on 8 of the 40,
+    # which reach Bland, and every verdict and certificate of the 40 equals
+    # the all-Bland route's
     from conftest import rational_rotation
     from orthants import Polyhedron, build, generate_max_rank_orthant, reduce
 
