@@ -6,6 +6,10 @@ fields, so identical inputs produce byte-identical stdout.
 
 Exit codes: 0 for a positive decision (or plain success), 1 when
 ``is-orthant`` answers no, 2 for parse or precondition failures.
+
+The scalar backend is the ``--backend`` option alone, ``exact`` unless
+given: it overrides any ``"backend"`` field of an input file, so a file
+marked float is answered exactly unless ``--backend float`` is passed.
 """
 
 from __future__ import annotations
@@ -283,7 +287,10 @@ def _parser() -> argparse.ArgumentParser:
         prog="orthants",
         description="Decide and certify realizations of polyhedra as orthant sections.",
     )
-    top.add_argument("--backend", choices=("exact", "float"), default="exact")
+    top.add_argument(
+        "--backend", choices=("exact", "float"), default="exact",
+        help="scalar backend (default exact); overrides an input file's \"backend\" field",
+    )
     top.add_argument("--tol", type=float, default=1e-9, help="float-backend tolerance")
     top.add_argument("--dump-bang", action="store_true", help="attach the weighting system")
     top.add_argument("--affine", action="store_true", help="affine section mode for embed")

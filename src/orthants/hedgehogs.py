@@ -8,11 +8,10 @@ the hedgehog, drawn as needles on the upper half-sphere.
 Exact backend storage never takes square roots: a needle is kept as its
 primitive integer representative (content 1, last nonzero coordinate
 positive) together with its squared norm, and every angular comparison is
-a sign test on inner products.  Equality of hedgehogs is decided on
-normalized Gram matrices, which makes it independent of the ambient frame,
-so the staircase rotation is cosmetic; it is applied exactly whenever the
-required square roots happen to be rational, and always on the float
-backend.
+a sign test on inner products.  Needles stay in the input's coordinates
+and in the order of their first occurrence: the weighting system is
+invariant under rigid motions, and equality of hedgehogs is decided on
+normalized Gram matrices, so no frame needs to be chosen.
 
 The canonical polyhedron of a hedgehog has all offsets equal to -1.  Its
 rows are scaled so that each constraint is tight at a point strictly
@@ -25,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Optional
 
 from .context import Context
 from .errors import (
@@ -34,7 +32,7 @@ from .errors import (
     DimensionMismatch,
     TooManyNeedles,
 )
-from .matrix import Mat, dot, normalize, pivot_columns
+from .matrix import dot, normalize
 from .polyhedra import Polyhedron, is_nondegenerate
 
 _NEEDLE_GUARD = 9
@@ -47,7 +45,6 @@ class Hedgehog:
     dim: int
     needles: tuple
     ctx: Context
-    staircase: bool = False
 
     @property
     def count(self) -> int:
@@ -84,64 +81,6 @@ def _dedup(needles, ctx):
         if not any(_proportional(v, w, ctx) for w in out):
             out.append(v)
     return out
-
-
-def _reorder_prefix(needles, n, ctx):
-    """Move the first n-1 independent needles (scan order) to the front.
-
-    They are the first n-1 pivot columns of the needles-as-columns matrix.
-    """
-    chosen = pivot_columns(Mat.from_rows(needles, ctx).transpose())[: n - 1]
-    rest = [v for i, v in enumerate(needles) if i not in chosen]
-    return [needles[i] for i in chosen] + rest
-
-
-def _fraction_sqrt(x: Fraction) -> Optional[Fraction]:
-    if x < 0:
-        return None
-    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _staircase_rotation(needles, n, ctx):
-    """Rotate so prefix needle k has support in the first k coordinates.
-
-    Returns rotated needles, or None when the rotation would need
-    irrational entries (exact backend only).
-    """
-    gs = []
-
-    def orthogonalize(v):
-        w = [ctx.coerce(x) for x in v]
-        for g, gg in gs:
-            coef = dot(w, g) / gg
-            if ctx.sign(coef) != 0:
-                w = [a - coef * b for a, b in zip(w, g)]
-        return w
-
-    for v in needles[: n - 1]:
-        w = orthogonalize(v)
-        gs.append((w, dot(w, w)))
-    basis_i = 0
-    while len(gs) < n and basis_i < n:
-        e = [ctx.one() if k == basis_i else ctx.zero() for k in range(n)]
-        w = orthogonalize(e)
-        if any(ctx.sign(x) != 0 for x in w):
-            gs.append((w, dot(w, w)))
-        basis_i += 1
-    if len(gs) < n:
-        return None
-
-    if ctx.is_exact:
-        roots = [_fraction_sqrt(gg) for _, gg in gs]
-        if any(r is None for r in roots):
-            return None
-    else:
-        roots = [gg ** 0.5 for _, gg in gs]
-    qs = [[x / r for x in g] for (g, _), r in zip(gs, roots)]
-    return [tuple(dot(v, q) for q in qs) for v in needles]
 
 
 # ---------------------------------------------------------------------------
@@ -207,33 +146,23 @@ def canonical_polyhedron(h: Hedgehog) -> Polyhedron:
     return Polyhedron.from_rows(rows, [minus_one] * len(rows), ctx, minimal=True)
 
 
-def _canonicalize(directions, n, ctx, rotate: bool) -> Hedgehog:
-    needles = _dedup([canonical_needle(v, ctx) for v in directions], ctx)
-    needles = _reorder_prefix(needles, n, ctx)
-    staircase = False
-    if rotate:
-        rotated = _staircase_rotation(needles, n, ctx)
-        if rotated is not None:
-            needles = [canonical_needle(v, ctx) for v in rotated]
-            staircase = True
-    return Hedgehog(n, tuple(needles), ctx, staircase)
-
-
 def reduce(P: Polyhedron):
     """Canonical (hedgehog, representative polyhedron) of a nondegenerate system."""
     if not is_nondegenerate(P):
         raise DegeneratePolyhedron("cannot reduce a degenerate system")
-    h = _canonicalize([P.A.row(i) for i in range(P.nfacets)], P.dim, P.ctx, rotate=True)
+    h = from_needles([P.A.row(i) for i in range(P.nfacets)], P.dim, P.ctx)
     return h, canonical_polyhedron(h)
 
 
 def from_needles(directions, dim: int, ctx: Context) -> Hedgehog:
-    """Hedgehog from raw direction vectors, keeping the caller's frame.
+    """Hedgehog from raw direction vectors, in the caller's frame and order.
 
-    Deduplicates and sign-normalizes but does not rotate, so several
-    hedgehogs built this way stay comparable coordinatewise.
+    Each direction is sign-fixed and made primitive (exact) or unit
+    (float), and later duplicates modulo sign are dropped; nothing is
+    rotated, so hedgehogs built this way stay comparable coordinatewise.
     """
-    return _canonicalize(directions, dim, ctx, rotate=False)
+    needles = _dedup([canonical_needle(v, ctx) for v in directions], ctx)
+    return Hedgehog(dim, tuple(needles), ctx)
 
 
 def union(h1: Hedgehog, h2: Hedgehog) -> Hedgehog:
@@ -242,9 +171,7 @@ def union(h1: Hedgehog, h2: Hedgehog) -> Hedgehog:
         raise DimensionMismatch("union needs a common ambient dimension")
     if h1.ctx.backend != h2.ctx.backend:
         raise DimensionMismatch("union needs a common scalar backend")
-    return _canonicalize(
-        list(h1.needles) + list(h2.needles), h1.dim, h1.ctx, rotate=False
-    )
+    return from_needles(h1.needles + h2.needles, h1.dim, h1.ctx)
 
 
 # ---------------------------------------------------------------------------

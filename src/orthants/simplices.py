@@ -27,8 +27,9 @@ prefix carry the sign (-1)^k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
-from math import sqrt
+from math import isqrt, sqrt
 
 from .context import Context, EXACT, FLOAT, Scalar
 from .errors import NotOrthantError, NotRealizable, ShapeMismatch
@@ -139,6 +140,15 @@ def embed_simplex(S: SimplexMetric) -> tuple:
     return tuple(x)
 
 
+def _fraction_sqrt(x: Fraction) -> Fraction | None:
+    if x < 0:
+        return None
+    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
+    if rn * rn == x.numerator and rd * rd == x.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
 def metric_coordinates(S: SimplexMetric):
     """Vertex coordinates realizing the metric, with vertex 0 at the origin.
 
@@ -172,8 +182,6 @@ def metric_coordinates(S: SimplexMetric):
 
     roots = None
     if ctx.is_exact:
-        from .hedgehogs import _fraction_sqrt
-
         exact_roots = [_fraction_sqrt(d) for d in D]
         if all(r is not None for r in exact_roots):
             roots = exact_roots

@@ -234,3 +234,49 @@ def test_the_shared_parser_keeps_no_state_between_calls(monkeypatch, capsys):
         if "--dump-bang" not in argv and shared[1]:
             assert "bang" not in json.loads(shared[1]), argv
     assert codes == {0, 1, 2}
+
+
+def test_the_backend_option_overrides_the_file(monkeypatch, capsys):
+    marked_float = json.dumps(dict(json.loads(QUADRANT), backend="float"))
+    for command in ("is-orthant", "rank"):
+        code, out = in_process(monkeypatch, capsys, command, "-", stdin=marked_float)
+        assert code == 0 and json.loads(out)["backend"] == "exact", command
+        _, out = in_process(monkeypatch, capsys, "--backend", "float", command, "-", stdin=marked_float)
+        assert json.loads(out)["backend"] == "float", command
+
+
+# One cheap call of every subcommand, in an interpreter without site-packages;
+# prints the exit codes and the non-standard top-level modules it loaded.
+EVERY_SUBCOMMAND = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from orthants import cli
+SQUARE = %r
+CALLS = [
+    (["is-orthant", "-"], SQUARE), (["rank", "-"], SQUARE), (["reduce", "-"], SQUARE),
+    (["classify2d", "-"], SQUARE), (["decompose", "-"], SQUARE),
+    (["embed", "-"], SQUARE), (["realize", "-"], SQUARE), (["gen", "cube", "2"], ""),
+    (["simplex", "-"], '{"dim": 2, "d2": ["0", "2", "2", "2", "0", "2", "2", "2", "0"]}'),
+    (["cone", "-"], '{"m": 2, "g": ["1", "0", "0", "1"]}'),
+]
+codes = {}
+for argv, text in CALLS:
+    sys.stdin = io.StringIO(text)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        codes[argv[0]] = cli.main(argv)
+loaded = {name.partition(".")[0] for name in sys.modules} - {"__main__", "orthants"}
+print(json.dumps([codes, sorted(loaded - set(sys.stdlib_module_names))]))
+""" % polyhedron_to_text(generate_cube(2))
+
+
+def test_every_subcommand_loads_only_the_standard_library():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", EVERY_SUBCOMMAND],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, foreign = json.loads(proc.stdout)
+    assert set(codes) == set(cli._parser()._subparsers._group_actions[0].choices)
+    assert set(codes.values()) == {0}, codes
+    assert foreign == []

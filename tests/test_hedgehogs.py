@@ -24,7 +24,7 @@ from orthants.errors import DegeneratePolyhedron, DimensionMismatch, TooManyNeed
 from orthants.hedgehogs import Hedgehog, canonical_needle
 from orthants.matrix import dot
 from conftest import rand_frac, random_needles_2d, rational_rotation
-from oracles import canonical_rows
+from oracles import canonical_rows, rref_rank
 
 
 def regular_polygon_needles(k):
@@ -86,12 +86,50 @@ class TestReduce:
         h = from_needles([(-1, -2), (0, -3)], 2, EXACT)
         assert h.needles == ((1, 2), (0, 1))
 
-    def test_staircase_when_rational(self):
-        P = Polyhedron.from_rows([[0, 2], [3, 0], [1, 1]], [-1, -1, -1], EXACT)
-        h, _ = reduce(P)
-        assert h.staircase
-        # first needle rotated onto the first axis
-        assert h.needles[0] == (1, 0)
+
+
+def random_exact_system(rng, n):
+    """A nondegenerate system of 2n to 3n small-integer rows (at most 9 needles)."""
+    while True:
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(2 * n, 3 * n))]
+        rows = [r for r in rows if any(r)]
+        if rows and rref_rank(rows) == n:
+            return Polyhedron.from_rows(rows, [rand_frac(rng, -4, 4, 3) for _ in rows], EXACT)
+
+
+def frame_inputs():
+    rng = random.Random(2017)
+    inputs = [generate_cube(n) for n in (2, 3, 4)]
+    inputs += [generate_cross_polytope(n) for n in (2, 3)]
+    inputs += [generate_max_rank_orthant(n) for n in (2, 3)]
+    inputs += [random_exact_system(rng, rng.randint(2, 3)) for _ in range(24)]
+    return inputs
+
+
+class TestFrameIndependence:
+    """reduce keeps the input's frame and order, yet its hedgehog and the
+    verdict on its canonical system do not depend on either."""
+
+    def test_rotated_and_shuffled_copies_reduce_alike(self):
+        rng = random.Random(6)
+        verdicts = set()
+        for P in frame_inputs():
+            rows = [P.A.row(i) for i in range(P.nfacets)]
+            U = rational_rotation(rng, P.dim)
+            rotated = Polyhedron.from_rows([U.matvec(list(r)) for r in rows], P.b, EXACT)
+            order = list(range(P.nfacets))
+            rng.shuffle(order)
+            shuffled = Polyhedron.from_rows(
+                [rows[i] for i in order], [P.b[i] for i in order], EXACT
+            )
+            h, sy = reduce(P)
+            expected = decide_positive(build(sy)).verdict
+            verdicts.add(expected)
+            for copy in (rotated, shuffled):
+                h_copy, sy_copy = reduce(copy)
+                assert equal(h, h_copy)
+                assert decide_positive(build(sy_copy)).verdict == expected
+        assert len(verdicts) > 1
 
 
 def same_rows_as_oracle(h):

@@ -19,7 +19,6 @@ except ImportError:  # only the @given tests need hypothesis; they skip
 
 from orthants import Mat, det, kernel_basis, rank, solve_linear
 from orthants.context import EXACT, FLOAT
-from orthants.hedgehogs import _reorder_prefix
 from orthants.matrix import pivot_columns, solve_columns
 from oracles import permutation_det, rref_rank, solve_any
 from conftest import rand_frac
@@ -36,19 +35,6 @@ def greedy_pivot_columns(rows):
         if rref_rank([[row[k] for k in kept + [j]] for row in rows]) == len(kept) + 1:
             kept.append(j)
     return kept
-
-
-def greedy_prefix(needles, n):
-    """The greedy prefix scan: one rank per candidate needle, in scan order."""
-    chosen = []
-    for i, v in enumerate(needles):
-        if len(chosen) == n - 1:
-            break
-        if rref_rank([needles[j] for j in chosen] + [v]) == len(chosen) + 1:
-            chosen.append(i)
-    return [needles[i] for i in chosen] + [
-        v for i, v in enumerate(needles) if i not in chosen
-    ]
 
 
 def assert_canonical_kernel(rows, basis):
@@ -247,21 +233,3 @@ class TestEchelonKernel:
                 assert all(map(close, u, v))
             D = [row[:m] for row in rows]
             assert close(det(Mat.from_rows(D, FLOAT)), det(Mat.from_rows(D, EXACT)))
-
-
-class TestReorderPrefix:
-    def test_matches_greedy_rank_scan(self):
-        rng = random.Random(2026)
-        for _ in range(200):
-            n = rng.randint(1, 4)
-            span = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
-            needles = []
-            for _ in range(rng.randint(1, 7)):
-                coef = [rng.randint(-2, 2) for _ in span]
-                v = tuple(Fraction(sum(c * b[j] for c, b in zip(coef, span))) for j in range(n))
-                if any(v):
-                    needles.append(v)
-            expected = greedy_prefix(needles, n)
-            assert _reorder_prefix(needles, n, EXACT) == expected
-            floats = [tuple(map(float, v)) for v in needles]
-            assert _reorder_prefix(floats, n, FLOAT) == [tuple(map(float, v)) for v in expected]
