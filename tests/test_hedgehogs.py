@@ -87,7 +87,6 @@ class TestReduce:
         assert h.needles == ((1, 2), (0, 1))
 
 
-
 def random_exact_system(rng, n):
     """A nondegenerate system of 2n to 3n small-integer rows (at most 9 needles)."""
     while True:
