@@ -231,13 +231,29 @@ def _cmd_realize(args) -> int:
     return 0
 
 
-def _size(params) -> int:
+# the largest rows x dim a sized generator may build; no option sets it
+_GEN_CAP = 1 << 20
+_GEN_ROWS = {
+    "cube": lambda n: 2 * n,
+    "cross": lambda n: 1 << n,
+    "endgo": lambda n: n * (3 * n - 1) // 2,
+}
+
+
+def _size(kind: str, params) -> int:
+    """The one size of a cube, cross or endgo, refused before anything is
+    built when the system would exceed _GEN_CAP entries (rows x dim)."""
     if len(params) != 1:
         raise ParseError(f"generator takes exactly one size, not {len(params)} parameters")
     try:
-        return int(params[0])
+        n = int(params[0])
     except ValueError:
         raise ParseError(f"generator size must be an integer, not {params[0]!r}") from None
+    # n > _GEN_CAP is refused first, so the closed form stays small
+    if n > _GEN_CAP or n > 0 and _GEN_ROWS[kind](n) * n > _GEN_CAP:
+        raise ParseError(f"gen {kind} {n} exceeds the size cap: rows x dim must be "
+                         f"at most 2^20 = {_GEN_CAP}")
+    return n
 
 
 def _cmd_gen(args) -> int:
@@ -245,11 +261,11 @@ def _cmd_gen(args) -> int:
     ctx = _ctx(args)
     kind = args.kind
     if kind == "cube":
-        P = generate_cube(_size(args.params), ctx)
+        P = generate_cube(_size(kind, args.params), ctx)
     elif kind == "cross":
-        P = generate_cross_polytope(_size(args.params), ctx)
+        P = generate_cross_polytope(_size(kind, args.params), ctx)
     elif kind == "endgo":
-        P = generate_max_rank_orthant(_size(args.params), ctx)
+        P = generate_max_rank_orthant(_size(kind, args.params), ctx)
     elif kind == "simplex":
         P = generate_simplex([ctx.parse(p) for p in args.params], ctx)
     else:
@@ -313,7 +329,12 @@ def _parser() -> argparse.ArgumentParser:
     add("realize", _cmd_realize)
     g = add("gen", _cmd_gen, file_arg=False)
     g.add_argument("kind", choices=("cube", "cross", "endgo", "simplex"))
-    g.add_argument("params", nargs="+")
+    g.add_argument(
+        "params", nargs="+",
+        help="the size n of cube, cross or endgo, whose system (2n, 2^n or "
+             "n(3n-1)/2 rows in dimension n) may have at most 2^20 entries; "
+             "or the positive intercepts of simplex",
+    )
     c = add("cone", _cmd_cone)
     c.add_argument("--cp", default=None, help="factor file for CP verification")
     return top

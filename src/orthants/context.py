@@ -48,7 +48,10 @@ class Context:
         return Fraction(1) if self.is_exact else 1.0
 
     def coerce(self, value) -> Scalar:
-        """Convert ints, strings, Fractions or floats into this backend."""
+        """Convert ints, strings, Fractions or floats into this backend; a
+        value already of the backend's exact type is returned as it is."""
+        if type(value) is (Fraction if self.is_exact else float):
+            return value
         if isinstance(value, str):
             return self.parse(value)
         if self.is_exact:

@@ -13,17 +13,22 @@ the identity is checked exactly, and squared image distances are rational.
 ``orthant_embedding`` is the paper's variant 1: P in R^m, m its facet
 count.  ``realize_polytope`` and ``realize_unbounded`` take variant 2 by
 one route: pad P with the shear family x_i -+ eps x_j, x_i, and give every
-added row u a multiplier lambda >= 0 with A^T lambda = u, re-checked in one
-place, so that the offset lambda.b - 1 is strictly slack by weak duality
-(Schrijver 1986, sec. 7.3 and 7.8).  The multipliers come from the strict
-multiplier LP of ``polyhedra`` (u = A^T lambda, lambda > 0), by one of two maps:
+added row u a multiplier lambda >= 0 with A^T lambda = u, so that the
+offset lambda.b - 1 is strictly slack by weak duality (Schrijver 1986,
+sec. 7.3 and 7.8).  Multipliers are linear in u: both routes hand
+``_pad_and_embed`` generators g_1..g_n with A^T g_k = e_k, and bounded
+inputs also a kernel vector y > 0 with A^T y = 0.  Row u gets
+lambda = sum_k u_k g_k + s y, with the least s >= 0 that makes it
+nonnegative (s = 0 without y).  The generators and y are checked once;
+per row only lambda >= 0 is checked, in integers.  They come from:
 
 * Bounded P (Stiemke: u = 0 is Positive): eps = 1, where the family is the
-  full-rank orthant family ``generate_max_rank_orthant``, and lambda =
-  mu + s y, mu from one echelon pass on A^T and y the Stiemke witness.
-* Unbounded P: n Farkas LPs u = e_i give lambda_i > 0, so the recession
-  cone lies strictly inside the orthant, and row u gets sum_k u_k lambda_k.
-  eps is the largest power of two <= 1/2 with eps lambda_j <= lambda_i
+  full-rank orthant family ``generate_max_rank_orthant``; the generators
+  from one echelon pass on A^T against e_1..e_n, and y the Stiemke
+  witness of the strict multiplier LP of ``polyhedra``.
+* Unbounded P: n Farkas LPs u = e_i (the same strict multiplier LP) give
+  generators g_i > 0, so the recession cone lies strictly inside the
+  orthant.  eps is the largest power of two <= 1/2 with eps g_j <= g_i
   entrywise.  A refusal names the recession direction of the failing LP.
 
 Any eps > 0 keeps the padded system Positive: the family spans Sym(n) with
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import sqrt
+from math import lcm, sqrt
 
 from .context import Context
 from .errors import (
@@ -43,7 +48,7 @@ from .errors import (
     RecessionNotStrictlyPositive,
     UnboundedPolyhedron,
 )
-from .matrix import Mat, _tol_key, dot, normalize, solve_columns
+from .matrix import Mat, _ratio, _tol_key, dot, normalize, solve_columns
 from .polyhedra import Polyhedron, _strict_multiplier, boundedness, require_nondegenerate
 from .frames import build, system_from_normals
 from . import lp
@@ -138,34 +143,29 @@ def _direction_key(a, ctx: Context) -> tuple:
     return _tol_key(d, ctx)
 
 
-def _stiemke_multipliers(P: Polyhedron, y):
-    """The multiplier map of a bounded input, from its Stiemke witness y.
-
-    One echelon pass on [A^T | U] gives mu with A^T mu = u for every added
-    row u; y > 0 with A^T y = 0 shifts it to lambda = mu + s y,
-    s = max(0, max_i -mu_i / y_i), which is >= 0.
-    """
-    ctx = P.ctx
-
-    def multipliers(added):
-        out = []
-        for mu in solve_columns(P.A.transpose(), added):
-            if mu is None:
-                raise BrokenInvariant("realize: an added row is outside the row space of A")
-            s = max([ctx.zero()] + [-m / w for m, w in zip(mu, y)])
-            out.append([m + s * w for m, w in zip(mu, y)])
-        return out
-
-    return multipliers
+def _numerators(vectors, ctx: Context) -> tuple:
+    """(numerators, d): exact vectors as integers over their least common
+    denominator d, as ``_echelon`` scales; float vectors as they are, over 1."""
+    if not ctx.is_exact:
+        return [list(v) for v in vectors], 1
+    d = lcm(*(x.denominator for v in vectors for x in v))
+    return [[x.numerator * (d // x.denominator) for x in v] for v in vectors], d
 
 
-def _pad_and_embed(P: Polyhedron, aux_normals, multipliers) -> Embedding:
+def _pad_and_embed(P: Polyhedron, aux_normals, generators, y=None) -> Embedding:
     """P's rows, then every auxiliary normal whose line is new, each pushed
     strictly below P by its multiplier.
 
-    ``multipliers`` maps the added rows to lambda >= 0 with A^T lambda = u,
-    re-checked here.  Then u.x = lambda.(A x) >= lambda.b on P (weak
-    duality), so u.x >= lambda.b - 1 is strictly slack.
+    ``generators`` are g_1..g_n with A^T g_k = e_k, and on bounded inputs
+    y > 0 has A^T y = 0; both are checked here once.  Row u gets, by
+    linearity, lambda = mu + s y with mu = sum_k u_k g_k and
+    s = max(0, max_i -mu_i / y_i) (s = 0 without y), so A^T lambda = u
+    holds and only lambda >= 0 is checked per row.  Then
+    u.x = lambda.(A x) >= lambda.b on P (weak duality), so
+    u.x >= lambda.b - 1 is strictly slack; lambda.b is read off the
+    products g_k.b and y.b, taken once.  The per-row work runs on the
+    integer numerators of ``_numerators``; one scalar is built per row,
+    its offset.
     """
     ctx = P.ctx
     own = [P.A.row(i) for i in range(P.nfacets)]
@@ -174,14 +174,37 @@ def _pad_and_embed(P: Polyhedron, aux_normals, multipliers) -> Embedding:
         if (key := _direction_key(a, ctx)) not in seen:
             seen.add(key)
             added.append(list(a))
-    At = P.A.transpose()
+    At = P.A.transpose().data
+    for k, g in enumerate(generators):
+        if g is None or not all(ctx.eq(dot(col, g), int(j == k)) for j, col in enumerate(At)):
+            raise BrokenInvariant(f"realize: multiplier generator {k + 1} failed A^T g = e_{k + 1}")
+    shift = y is not None
+    if shift and (any(ctx.sign(w) <= 0 for w in y)
+                  or any(not ctx.is_zero(dot(col, y)) for col in At)):
+        raise BrokenInvariant("realize: the multiplier shift y failed y > 0, A^T y = 0")
+    vectors, den = _numerators([*generators, y] if shift else generators, ctx)
+    (b,), b_den = _numerators([P.b], ctx)
+    products = [dot(v, b) for v in vectors]
     offsets = []
-    for u, lam in zip(added, multipliers(added), strict=True):
-        if any(ctx.sign(v) < 0 for v in lam) or not all(
-            ctx.is_zero(dot(col, lam) - v) for col, v in zip(At.data, u)
-        ):
-            raise BrokenInvariant("realize: a multiplier failed lambda >= 0, A^T lambda = u")
-        offsets.append(dot(lam, P.b) - ctx.one())
+    for u in added:
+        (coeffs,), q = _numerators([u], ctx)
+        lam, lam_b = [0] * P.nfacets, 0
+        for k, c in enumerate(coeffs):
+            if c:
+                lam = [x + c * g for x, g in zip(lam, vectors[k])]
+                lam_b += c * products[k]
+        # s = s_num / s_den, compared by cross-multiplying (y's numerators are > 0)
+        s_num, s_den = 0, 1
+        if shift:
+            for x, w in zip(lam, vectors[-1]):
+                if -x * s_den > s_num * w:
+                    s_num, s_den = -x, w
+            lam = [x * s_den + s_num * w for x, w in zip(lam, vectors[-1])]
+            lam_b = lam_b * s_den + s_num * products[-1]
+        if any(ctx.sign(x) < 0 for x in lam):
+            raise BrokenInvariant("realize: a multiplier failed lambda >= 0")
+        scale = q * den * b_den * s_den
+        offsets.append(_ratio(lam_b - scale, scale, ctx))
     ext_rows = [list(r) for r in own] + added
     ext_b = list(P.b) + offsets
     system = system_from_normals(ext_rows, ctx)
@@ -200,10 +223,15 @@ def orthant_embedding(P: Polyhedron) -> Embedding | None:
     return build_embedding(P, outcome.witness_t, system) if outcome.is_positive else None
 
 
+def _units(n: int, ctx: Context) -> list:
+    """e_1..e_n as backend rows."""
+    return [[ctx.one() if k == i else ctx.zero() for k in range(n)] for i in range(n)]
+
+
 def _shear_family(n: int, eps, ctx: Context) -> list:
     """x_i - eps x_j and x_j - eps x_i for each i < j, the same with + eps,
     then x_i; at eps = 1 its lines are generate_max_rank_orthant(n)'s, in order."""
-    unit = [[ctx.one() if k == i else ctx.zero() for k in range(n)] for i in range(n)]
+    unit = _units(n, ctx)
     return [[x + s * y for x, y in zip(unit[p], unit[q])] for s in (-eps, eps)
             for i, j in combinations(range(n), 2) for p, q in ((i, j), (j, i))] + unit
 
@@ -219,8 +247,7 @@ def _farkas_witnesses(P: Polyhedron) -> list:
     """
     ctx = P.ctx
     witnesses = []
-    for i in range(P.dim):
-        e = tuple(ctx.one() if k == i else ctx.zero() for k in range(P.dim))
+    for i, e in enumerate(_units(P.dim, ctx)):
         outcome = _strict_multiplier(P, e)
         if not outcome.is_positive:
             ray = ", ".join(ctx.format(v) for v in outcome.certificate_y)
@@ -238,20 +265,17 @@ def _realize(P: Polyhedron, bounded_only: bool) -> Embedding:
     ctx = P.ctx
     bounded = boundedness(P)
     if bounded.is_positive:
-        eps, multipliers = ctx.one(), _stiemke_multipliers(P, bounded.witness_t)
+        eps, y = ctx.one(), bounded.witness_t
+        generators = solve_columns(P.A.transpose(), _units(P.dim, ctx))
     elif bounded_only:
         raise UnboundedPolyhedron("use realize_unbounded for unbounded inputs")
     else:
-        by_row = list(zip(*_farkas_witnesses(P)))
-        ratio = min(min(col) / max(col) for col in by_row)
+        generators, y = _farkas_witnesses(P), None
+        ratio = min(min(col) / max(col) for col in zip(*generators))
         eps = ctx.one() / 2
         while ratio < eps:
             eps /= 2
-
-        def multipliers(added):
-            return [[dot(u, col) for col in by_row] for u in added]
-
-    return _pad_and_embed(P, _shear_family(P.dim, eps, ctx), multipliers)
+    return _pad_and_embed(P, _shear_family(P.dim, eps, ctx), generators, y)
 
 
 def realize_polytope(P: Polyhedron) -> Embedding:

@@ -97,3 +97,16 @@ def rational_rotation(rng, n):
     )
     # column k of R^T is row k of R
     return Mat.from_rows(solve_columns(minus, [plus.column(k) for k in range(n)]), EXACT)
+
+
+def rotated(P, R):
+    """The congruent copy {R x : x in P}: normals R a, offsets unchanged."""
+    rows = [R.matvec(P.A.row(i)) for i in range(P.nfacets)]
+    return Polyhedron.from_rows(rows, P.b, EXACT)
+
+
+def shuffled(P, rng):
+    """P with its rows (and offsets) in a random order."""
+    order = list(range(P.nfacets))
+    rng.shuffle(order)
+    return Polyhedron.from_rows([P.A.row(i) for i in order], [P.b[i] for i in order], EXACT)

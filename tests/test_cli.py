@@ -21,6 +21,7 @@ from orthants import (
     lp,
 )
 from orthants.context import EXACT
+from orthants.errors import ParseError
 from orthants.fileformats import bang_to_doc, polyhedron_to_text
 from orthants.hedgehogs import reduce as reduce_hedgehog
 
@@ -177,6 +178,8 @@ QUADRANT = '{"dim": 2, "rows": [{"a": ["1", "0"], "b": "0"}, {"a": ["0", "1"], "
         (["gen", "endgo", ""], ""),
         (["gen", "cube", "2", "3"], ""),
         (["gen", "endgo", "3", "1"], ""),
+        (["gen", "cube", "100000000"], ""),
+        (["gen", "cross", "40"], ""),
     ] + [
         (["--backend", "float", "--tol", tol, "is-orthant", "-"], QUADRANT)
         for tol in ("0", "-1", "nan", "inf")
@@ -184,7 +187,8 @@ QUADRANT = '{"dim": 2, "rows": [{"a": ["1", "0"], "b": "0"}, {"a": ["0", "1"], "
     ids=[
         "dim-not-an-integer", "numbers-for-scalars", "float-overflow",
         "gen-cube-x", "gen-cross-1.5", "gen-endgo-empty",
-        "gen-cube-2-3", "gen-endgo-3-1", "tol-0", "tol-negative", "tol-nan",
+        "gen-cube-2-3", "gen-endgo-3-1", "gen-cube-1e8", "gen-cross-40",
+        "tol-0", "tol-negative", "tol-nan",
         "tol-inf",
     ],
 )
@@ -197,6 +201,29 @@ def test_malformed_input_exits_2_without_traceback(argv, doc):
     if "--tol" in argv:
         assert err.startswith("error: --tol ")
 
+
+@pytest.mark.parametrize("kind, size", [("cube", "100000000"), ("cross", "40")])
+def test_gen_refuses_oversized_systems_before_building(kind, size, monkeypatch, capsys):
+    def refused(*args):
+        raise AssertionError("a generator ran")
+
+    for name in ("generate_cube", "generate_cross_polytope", "generate_max_rank_orthant"):
+        monkeypatch.setattr(cli, name, refused)
+    assert cli.main(["gen", kind, size]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: gen {kind} {size} exceeds the size cap")
+
+
+def test_gen_size_cap_follows_the_closed_form_row_counts():
+    # rows x dim: 2n * n for cube, 2^n * n for cross, n(3n - 1)/2 * n for endgo
+    for kind, largest in (("cube", 724), ("cross", 16), ("endgo", 88)):
+        assert [cli._GEN_ROWS[kind](n) for n in range(1, 6)] == [
+            FAMILIES[kind](n).nfacets for n in range(1, 6)
+        ]
+        assert cli._size(kind, [str(largest)]) == largest
+        with pytest.raises(ParseError, match="size cap"):
+            cli._size(kind, [str(largest + 1)])
 
 
 def test_the_shared_parser_keeps_no_state_between_calls(monkeypatch, capsys):

@@ -59,6 +59,26 @@ class TestContext:
             with pytest.raises(ParseError):
                 ctx.coerce("1/0")
 
+    def test_coerce_keeps_values_of_the_backend_type(self):
+        q, x = Fraction(-3, 7), 0.1
+        assert EXACT.coerce(q) is q
+        assert FLOAT.coerce(x) is x
+
+        class Half(Fraction):
+            pass
+
+        # everything else still converts, to exactly the backend's type
+        for ctx, value, expected in [
+            (EXACT, 3, Fraction(3)), (EXACT, True, Fraction(1)), (EXACT, "2/6", Fraction(1, 3)),
+            (EXACT, Half(1, 2), Fraction(1, 2)),
+            (FLOAT, 3, 3.0), (FLOAT, True, 1.0), (FLOAT, "1/4", 0.25),
+            (FLOAT, Fraction(1, 4), 0.25), (FLOAT, Half(1, 2), 0.5),
+        ]:
+            out = ctx.coerce(value)
+            assert out == expected and type(out) is type(expected)
+        with pytest.raises(BackendMismatch):
+            EXACT.coerce(x)
+
     def test_format_on_each_backend(self):
         assert EXACT.format(Fraction(-6, 4)) == "-3/2"
         assert EXACT.format(Fraction(10**30, 7)) == f"{10**30}/7"

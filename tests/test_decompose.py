@@ -18,6 +18,7 @@ from orthants import (
 from orthants.context import EXACT, FLOAT
 from orthants.errors import InvalidWitness, NoKernel
 from orthants.matrix import rank
+from conftest import rational_rotation, rotated, shuffled
 from oracles import rref_rank, strictly_positive_solvable
 
 FAMILIES = {
@@ -91,6 +92,34 @@ class TestRandomHedgehogs:
                 check_decomposition(P, dec, True)
             verdicts[orthant] += 1
         assert verdicts[True] >= 10 and verdicts[False] >= 10
+
+
+class TestFrameIndependence:
+    """Decompose answers every Cayley-rotated and row-shuffled copy with the
+    input's verdict and union rank, and each copy's decomposition passes
+    check_decomposition on that copy."""
+
+    def test_rotated_and_shuffled_copies_decompose_alike(self):
+        rng = random.Random(18)
+        inputs = [FAMILIES[kind](n) for kind, sizes in
+                  (("cube", (2, 3, 4)), ("cross", (2, 3)), ("endgo", (2, 3))) for n in sizes]
+        randoms = 0
+        while randoms < 24:
+            P = random_hedgehog(rng, rng.randint(2, 3), rng.randint(3, 6))
+            if P is not None:
+                inputs.append(P)
+                randoms += 1
+        verdicts = set()
+        for P in inputs:
+            dec = find_basic_decomposition(P)
+            verdicts.add(dec is not None)
+            for copy in (rotated(P, rational_rotation(rng, P.dim)), shuffled(P, rng)):
+                dec_copy = find_basic_decomposition(copy)
+                assert (dec_copy is None) == (dec is None)
+                if dec is not None:
+                    check_decomposition(copy, dec_copy, True)
+                    assert dec_copy.union_rank == dec.union_rank
+        assert verdicts == {True, False}
 
 
 class TestSplitSolution:

@@ -23,7 +23,7 @@ from orthants.context import EXACT, FLOAT
 from orthants.errors import DegeneratePolyhedron, DimensionMismatch, TooManyNeedles
 from orthants.hedgehogs import Hedgehog, canonical_needle
 from orthants.matrix import dot
-from conftest import rand_frac, random_needles_2d, rational_rotation
+from conftest import rand_frac, random_needles_2d, rational_rotation, rotated, shuffled
 from oracles import canonical_rows, rref_rank
 
 
@@ -113,18 +113,11 @@ class TestFrameIndependence:
         rng = random.Random(6)
         verdicts = set()
         for P in frame_inputs():
-            rows = [P.A.row(i) for i in range(P.nfacets)]
-            U = rational_rotation(rng, P.dim)
-            rotated = Polyhedron.from_rows([U.matvec(list(r)) for r in rows], P.b, EXACT)
-            order = list(range(P.nfacets))
-            rng.shuffle(order)
-            shuffled = Polyhedron.from_rows(
-                [rows[i] for i in order], [P.b[i] for i in order], EXACT
-            )
+            copies = (rotated(P, rational_rotation(rng, P.dim)), shuffled(P, rng))
             h, sy = reduce(P)
             expected = decide_positive(build(sy)).verdict
             verdicts.add(expected)
-            for copy in (rotated, shuffled):
+            for copy in copies:
                 h_copy, sy_copy = reduce(copy)
                 assert equal(h, h_copy)
                 assert decide_positive(build(sy_copy)).verdict == expected

@@ -3,11 +3,12 @@ input rows kept first, and no added row cutting the polyhedron, checked on
 known or brute-force vertices, or by Fourier-Motzkin minima.  The
 certificate routes inside realize are checked the same way: the Farkas
 witness verdict against brute-force ray enumeration, refusals by the
-recession direction their message names, and every added row's multiplier
-(Stiemke shifts when bounded, Farkas witness combinations when unbounded)
-against Fourier-Motzkin minima.  The shear family at eps = 1 is checked
-line by line against generate_max_rank_orthant, and a guard pins realize's
-LP count."""
+recession direction their message names, and every added row's multiplier,
+formed by linearity from the generators handed to _pad_and_embed, against
+Fourier-Motzkin minima and against the per-row route it replaced.  Row
+shuffles keep realize's success and target dimension.  The shear family at
+eps = 1 is checked line by line against generate_max_rank_orthant, and a
+guard pins realize's LP count."""
 
 import random
 import re
@@ -31,9 +32,9 @@ from orthants.context import EXACT, FLOAT
 from orthants.errors import BrokenInvariant, RecessionNotStrictlyPositive, UnboundedPolyhedron
 from orthants.frames import build
 from orthants.lp import decide_positive
-from orthants.matrix import dot, kernel_basis
+from orthants.matrix import dot, kernel_basis, solve_columns
 from orthants.polyhedra import boundedness
-from conftest import rational_rotation
+from conftest import rational_rotation, rotated, shuffled
 from oracles import functional_minimum, rref_rank, solve_any
 
 FAMILIES = {
@@ -105,12 +106,6 @@ def polytope_vertices(family, n):
     if family == "cube":
         return [list(v) for v in product((0, 1), repeat=n)]
     return [[s * int(k == i) for k in range(n)] for i in range(n) for s in (1, -1)]
-
-
-def rotated(P, R):
-    """The congruent copy {R x : x in P}: normals R a, offsets unchanged."""
-    rows = [R.matvec(P.A.row(i)) for i in range(P.nfacets)]
-    return Polyhedron.from_rows(rows, P.b, EXACT)
 
 
 def random_polytope(rng, n):
@@ -359,35 +354,60 @@ def multiplier_inputs():
     return inputs
 
 
-def spy_multipliers(monkeypatch):
-    """Record the multiplier map that each realization hands to _pad_and_embed."""
-    maps = []
+def spy_generators(monkeypatch):
+    """Record the generators and kernel vector that each realization hands
+    to _pad_and_embed."""
+    calls = []
     pad = realize._pad_and_embed
 
-    def spy(P, aux, multipliers):
-        maps.append(multipliers)
-        return pad(P, aux, multipliers)
+    def spy(P, aux, generators, y=None):
+        calls.append((generators, y))
+        return pad(P, aux, generators, y)
 
     monkeypatch.setattr(realize, "_pad_and_embed", spy)
-    return maps
+    return calls
+
+
+def linear_multiplier(u, generators, y):
+    """sum_k u_k g_k, shifted by s y with s = max(0, max_i -lambda_i / y_i)
+    when a kernel vector y is given."""
+    lam = [sum(c * g[i] for c, g in zip(u, generators)) for i in range(len(generators[0]))]
+    if y is not None:
+        s = max([0] + [-v / w for v, w in zip(lam, y)])
+        lam = [v + s * w for v, w in zip(lam, y)]
+    return lam
 
 
 @pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
 def test_multiplier_offsets(ctx, monkeypatch):
-    """Every added row u.x >= beta has lambda >= 0 with A^T lambda = u and
+    """The generators have A^T g_k = e_k, and on bounded inputs the kernel
+    vector has y > 0, A^T y = 0.  Every added row u.x >= beta then has
+    lambda >= 0 with A^T lambda = u, formed from them by linearity, and
     beta = lambda.b - 1, at least 1 below the minimum of u over P."""
-    maps = spy_multipliers(monkeypatch)
+    calls = spy_generators(monkeypatch)
     unbounded = 0
-    for exact, verts in multiplier_inputs():
-        P = exact if ctx is EXACT else as_float(exact)
-        rows, offsets = [list(r) for r in exact.A.data], list(exact.b)
+    exact = ctx is EXACT
+
+    def zero(r):
+        return r == 0 if exact else abs(r) <= 1e-9
+
+    for exact_P, verts in multiplier_inputs():
+        P = exact_P if exact else as_float(exact_P)
+        rows, offsets = [list(r) for r in exact_P.A.data], list(exact_P.b)
         m = P.nfacets
         E = realize_unbounded(P)
-        unbounded += not boundedness(P).is_positive
+        bounded = boundedness(P).is_positive
+        unbounded += not bounded
+        generators, y = calls[-1]
+        assert len(generators) == P.dim and (y is not None) == bounded
+        for k, g in enumerate(generators):
+            assert all(zero(dot(col, g) - (j == k)) for j, col in enumerate(zip(*P.A.data)))
+        if y is not None:
+            assert all(w > 0 for w in y) and all(zero(dot(col, y)) for col in zip(*P.A.data))
         added = [list(E.A_ext.row(i)) for i in range(m, E.target_dim)]
-        lams = maps[-1](added)
-        assert len(lams) == len(added) > 0
-        for u, lam, beta in zip(added, lams, E.b_ext[m:]):
+        assert added
+        for u, beta in zip(added, E.b_ext[m:]):
+            lam = linear_multiplier(u, generators, y)
             residual = [dot(col, lam) - v for col, v in zip(zip(*P.A.data), u)]
             # the added rows are dyadic vectors on either backend
             exact_u = [Fraction(x) for x in u]
@@ -396,44 +416,106 @@ def test_multiplier_offsets(ctx, monkeypatch):
                 low = functional_minimum(rows, offsets, exact_u)
             else:
                 low = min(dot(exact_u, v) for v in verts)
-            if ctx is EXACT:
-                assert all(v >= 0 for v in lam) and all(r == 0 for r in residual)
+            assert all(zero(r) for r in residual)
+            if exact:
+                assert all(v >= 0 for v in lam)
                 assert beta == dot(lam, P.b) - 1 and beta <= low - 1
             else:
-                assert all(v >= -1e-9 for v in lam) and all(abs(r) <= 1e-9 for r in residual)
+                assert all(v >= -1e-9 for v in lam)
                 assert abs(beta - dot(lam, P.b) + 1) <= 1e-9 and beta <= low - 1 + 1e-9
     assert unbounded >= 12
 
 
-def tampered(multipliers, P, how):
-    """The map with the first multiplier broken: "shift" moves it off
-    A^T lambda = u; "negative" moves it along the kernel of A^T until an
-    entry is negative, so A^T lambda = u still holds."""
-    k = kernel_basis(P.A.transpose())[0]
-
-    def bad(added):
-        lams = [list(lam) for lam in multipliers(added)]
-        lam = lams[0]
-        if how == "shift":
-            lam[0] += 1
+def test_offsets_match_the_per_row_route():
+    """On the exact backend the offsets are, Fraction for Fraction, those of
+    a multiplier formed per added row: one solve_columns pass on A^T against
+    every added row plus the Stiemke shift when bounded, and sum_k u_k
+    lambda_k by dot products over the Farkas witnesses otherwise."""
+    kinds = set()
+    for P, _ in multiplier_inputs():
+        E = realize_unbounded(P)
+        m = P.nfacets
+        added = [list(E.A_ext.row(i)) for i in range(m, E.target_dim)]
+        bounded = boundedness(P)
+        kinds.add(bounded.is_positive)
+        if bounded.is_positive:
+            y, lams = bounded.witness_t, []
+            for mu in solve_columns(P.A.transpose(), added):
+                s = max([Fraction(0)] + [-v / w for v, w in zip(mu, y)])
+                lams.append([v + s * w for v, w in zip(mu, y)])
         else:
-            r = next(r for r, v in enumerate(k) if v != 0)
-            c = -(lam[r] + 1) / k[r]
-            lams[0] = [v + c * w for v, w in zip(lam, k)]
-        return lams
-
-    return bad
+            by_row = list(zip(*realize._farkas_witnesses(P)))
+            lams = [[dot(u, col) for col in by_row] for u in added]
+        expected = [dot(lam, P.b) - 1 for lam in lams]
+        assert list(E.b_ext[m:]) == expected
+        assert all(type(beta) is Fraction for beta in E.b_ext[m:])
+    assert kinds == {True, False}
 
 
 def test_a_multiplier_that_fails_its_check_is_refused(monkeypatch):
-    maps = spy_multipliers(monkeypatch)
+    """Each broken input to _pad_and_embed is refused, naming the multiplier:
+    a shifted generator entry (A^T g != e_k), a kernel vector moved off
+    A^T y = 0 or moved along it to a zero entry (y > 0 fails), and on an
+    unbounded input, where no shift repairs signs, a generator moved along
+    the kernel of A^T until an entry is -1, so that A^T g = e_k still holds
+    but lambda_u < 0 for u = e_k."""
+    calls = spy_generators(monkeypatch)
     for P in (generate_cube(2), shear(3)):
         E = realize_unbounded(P)
         aux = [E.A_ext.row(i) for i in range(P.nfacets, E.target_dim)]
-        good = maps[-1]
-        for how in ("shift", "negative"):
+        generators, y = calls[-1]
+        assert realize._pad_and_embed(P, aux, generators, y) == E
+        shifted = [list(g) for g in generators]
+        shifted[0][0] += 1
+        broken = [(shifted, y)]
+        if y is not None:
+            moved = list(y)
+            moved[0] += 1
+            # still in the kernel of A^T, but with y_r = 0 the shift for a
+            # row with lambda_r < 0 would divide by zero
+            k = kernel_basis(P.A.transpose())[-1]
+            r = next(r for r, v in enumerate(k) if v != 0)
+            zeroed = [w - y[r] / k[r] * v for w, v in zip(y, k)]
+            assert zeroed[r] == 0 and not any(P.A.transpose().matvec(zeroed))
+            broken += [(generators, moved), (generators, zeroed)]
+        else:
+            k = kernel_basis(P.A.transpose())[0]
+            r = next(r for r, v in enumerate(k) if v != 0)
+            c = -(generators[0][r] + 1) / k[r]
+            along = [[v + c * w for v, w in zip(generators[0], k)]] + list(generators[1:])
+            assert along[0][r] == -1 and list(P.A.transpose().matvec(along[0])) == [1, 0, 0]
+            broken.append((along, y))
+        for gens, kernel in broken:
             with pytest.raises(BrokenInvariant, match="multiplier"):
-                realize._pad_and_embed(P, aux, tampered(good, P, how))
+                realize._pad_and_embed(P, aux, gens, kernel)
+
+
+# ---------------------------------------------------------------------------
+# row order: item 2 covers rotations, which realize_unbounded may refuse
+
+
+def realized(P):
+    """realize_unbounded's target dimension on P, or None when it refuses."""
+    try:
+        return realize_unbounded(P).target_dim
+    except RecessionNotStrictlyPositive:
+        return None
+
+
+def test_row_shuffles_keep_success_and_target_dim():
+    rng = random.Random(2037)
+    inputs = [FAMILIES[f](n) for f in sorted(FAMILIES) for n in (2, 3, 4)]
+    inputs += [shear(n) for n in (2, 3, 4)] + [turned(shear(2))]
+    inputs += [random_polytope(rng, 2 + k % 3) for k in range(6)]
+    kinds = ("free", "boundary", "inside")
+    inputs += [random_unbounded(rng, n, kinds[k % 3]) for n in (2, 3) for k in range(6)]
+    outcomes = set()
+    for P in inputs:
+        expected = realized(P)
+        outcomes.add(expected is not None)
+        for _ in range(2):
+            assert realized(shuffled(P, rng)) == expected
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
