@@ -2,10 +2,15 @@
 
 Structured text (JSON) goes to stdout, one human-readable summary line
 (including timing) to stderr.  Exact-backend reports carry no volatile
-fields, so identical inputs produce byte-identical stdout.
+fields, so identical inputs produce byte-identical stdout.  A failure
+leaves stdout empty and writes one ``error:`` line to stderr.
 
 Exit codes: 0 for a positive decision (or plain success), 1 when
 ``is-orthant`` answers no, 2 for parse or precondition failures.
+
+``is-orthant``, ``rank``, ``classify2d`` and ``decompose`` answer for the
+facet directions alone: offsets, and so emptiness, do not enter, and an
+empty system reports as the nonempty one with the same facet normals.
 
 The scalar backend is the ``--backend`` option alone, ``exact`` unless
 given: it overrides any ``"backend"`` field of an input file, so a file
@@ -55,12 +60,6 @@ def _ctx(args) -> Context:
     return EXACT
 
 
-def _emit(doc: dict, summary: str, started: float) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    sys.stderr.write(f"{summary}  [{elapsed_ms:.1f} ms]\n")
-
-
 def _fmt_vec(vec, ctx) -> list:
     return [ctx.format(x) for x in vec]
 
@@ -70,11 +69,11 @@ def _float15(x) -> str:
 
 
 # -- subcommand bodies -----------------------------------------------------------
+# Each takes (args, ctx) and returns (report, summary, exit code): the report
+# is a JSON document, or the text of a polyhedron file for reduce and gen.
 
 
-def _cmd_is_orthant(args) -> int:
-    started = time.perf_counter()
-    ctx = _ctx(args)
+def _cmd_is_orthant(args, ctx):
     P = ff.polyhedron_from_text(_read(args.file), ctx)
     _, canonical = reduce_hedgehog(P)
     system = build(canonical)
@@ -95,13 +94,10 @@ def _cmd_is_orthant(args) -> int:
         doc["numeric_marginal"] = True
     if args.dump_bang:
         doc["bang"] = ff.bang_to_doc(system)
-    _emit(doc, f"is-orthant: {outcome.verdict}", started)
-    return 0 if outcome.is_positive else 1
+    return doc, f"is-orthant: {outcome.verdict}", 0 if outcome.is_positive else 1
 
 
-def _cmd_rank(args) -> int:
-    started = time.perf_counter()
-    ctx = _ctx(args)
+def _cmd_rank(args, ctx):
     P = ff.polyhedron_from_text(_read(args.file), ctx)
     system = build(P)
     r, consistent = rank_and_consistency(system)
@@ -115,26 +111,16 @@ def _cmd_rank(args) -> int:
     }
     if args.dump_bang:
         doc["bang"] = ff.bang_to_doc(system)
-    _emit(doc, f"rank {r}, consistent={consistent}", started)
-    return 0
+    return doc, f"rank {r}, consistent={consistent}", 0
 
 
-def _cmd_reduce(args) -> int:
-    started = time.perf_counter()
-    ctx = _ctx(args)
+def _cmd_reduce(args, ctx):
     P = ff.polyhedron_from_text(_read(args.file), ctx)
     _, canonical = reduce_hedgehog(P)
-    sys.stdout.write(ff.polyhedron_to_text(canonical))
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    sys.stderr.write(
-        f"reduced to {canonical.nfacets} needles  [{elapsed_ms:.1f} ms]\n"
-    )
-    return 0
+    return ff.polyhedron_to_text(canonical), f"reduced to {canonical.nfacets} needles", 0
 
 
-def _cmd_classify2d(args) -> int:
-    started = time.perf_counter()
-    ctx = _ctx(args)
+def _cmd_classify2d(args, ctx):
     P = ff.polyhedron_from_text(_read(args.file), ctx)
     h, canonical = reduce_hedgehog(P)
     result = classify_2d(h)
@@ -154,25 +140,19 @@ def _cmd_classify2d(args) -> int:
     }
     if result.p_index is not None:
         doc["p"] = result.p_index
-    _emit(doc, f"classify2d: {result.verdict}", started)
-    return 0
+    return doc, f"classify2d: {result.verdict}", 0
 
 
-def _cmd_simplex(args) -> int:
-    started = time.perf_counter()
-    ctx = _ctx(args)
+def _cmd_simplex(args, ctx):
     S = ff.metric_from_text(_read(args.file), ctx)
     verdict = classify_simplex(S)
     doc = {"command": "simplex", "backend": ctx.backend, "verdict": verdict}
     if verdict == SimplexClass.ORTHANT_ACUTE_ORTHOCENTRIC:
         doc["x"] = _fmt_vec(embed_simplex(S), ctx)
-    _emit(doc, f"simplex: {verdict}", started)
-    return 0
+    return doc, f"simplex: {verdict}", 0
 
 
-def _cmd_decompose(args) -> int:
-    started = time.perf_counter()
-    ctx = _ctx(args)
+def _cmd_decompose(args, ctx):
     P = ff.polyhedron_from_text(_read(args.file), ctx)
     _, canonical = reduce_hedgehog(P)
     dec = find_basic_decomposition(canonical)
@@ -185,8 +165,7 @@ def _cmd_decompose(args) -> int:
         doc["subsets"] = [list(s) for s in dec.subsets]
         doc["witnesses"] = [_fmt_vec(w, ctx) for w in dec.witnesses]
         doc["union_rank"] = dec.union_rank
-    _emit(doc, f"decompose: {doc['verdict']}", started)
-    return 0
+    return doc, f"decompose: {doc['verdict']}", 0
 
 
 def _embedding_doc(command, E, ctx) -> dict:
@@ -205,9 +184,7 @@ def _embedding_doc(command, E, ctx) -> dict:
     }
 
 
-def _cmd_embed(args) -> int:
-    started = time.perf_counter()
-    ctx = _ctx(args)
+def _cmd_embed(args, ctx):
     P = ff.polyhedron_from_text(_read(args.file), ctx)
     if args.affine:
         E = affine_embedding(P)
@@ -217,18 +194,14 @@ def _cmd_embed(args) -> int:
             raise OrthantsError(
                 "polyhedron is not orthant; `realize` handles the general case"
             )
-    _emit(_embedding_doc("embed", E, ctx), f"embed into dimension {E.target_dim}", started)
-    return 0
+    return _embedding_doc("embed", E, ctx), f"embed into dimension {E.target_dim}", 0
 
 
-def _cmd_realize(args) -> int:
-    started = time.perf_counter()
-    ctx = _ctx(args)
+def _cmd_realize(args, ctx):
     P = ff.polyhedron_from_text(_read(args.file), ctx)
     # realize_unbounded takes bounded inputs too, and decides boundedness once
     E = realize_unbounded(P)
-    _emit(_embedding_doc("realize", E, ctx), f"realized in dimension {E.target_dim}", started)
-    return 0
+    return _embedding_doc("realize", E, ctx), f"realized in dimension {E.target_dim}", 0
 
 
 # the largest rows x dim a sized generator may build; no option sets it
@@ -256,9 +229,7 @@ def _size(kind: str, params) -> int:
     return n
 
 
-def _cmd_gen(args) -> int:
-    started = time.perf_counter()
-    ctx = _ctx(args)
+def _cmd_gen(args, ctx):
     kind = args.kind
     if kind == "cube":
         P = generate_cube(_size(kind, args.params), ctx)
@@ -270,15 +241,10 @@ def _cmd_gen(args) -> int:
         P = generate_simplex([ctx.parse(p) for p in args.params], ctx)
     else:
         raise OrthantsError(f"unknown generator {kind!r}")
-    sys.stdout.write(ff.polyhedron_to_text(P))
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    sys.stderr.write(f"generated {kind} with {P.nfacets} facets  [{elapsed_ms:.1f} ms]\n")
-    return 0
+    return ff.polyhedron_to_text(P), f"generated {kind} with {P.nfacets} facets", 0
 
 
-def _cmd_cone(args) -> int:
-    started = time.perf_counter()
-    ctx = _ctx(args)
+def _cmd_cone(args, ctx):
     G = ff.gram_from_text(_read(args.file), ctx)
     doc = {
         "command": "cone",
@@ -289,8 +255,7 @@ def _cmd_cone(args) -> int:
         B, scale = ff.factor_from_text(_read(args.cp), ctx)
         doc["cp_verified"] = verify_cp_decomposition(G, B, scale)
         doc["cp_target_dim"] = B.cols
-    _emit(doc, f"cone: dnn={doc['doubly_nonnegative']}", started)
-    return 0
+    return doc, f"cone: dnn={doc['doubly_nonnegative']}", 0
 
 
 # -- entry point -------------------------------------------------------------------
@@ -341,15 +306,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """The one writer of stdout and stderr; the subcommands only compute."""
     args = _parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.handler(args)
-    except OrthantsError as exc:
+        report, summary, code = args.handler(args, _ctx(args))
+    except (OrthantsError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    sys.stdout.write(report if isinstance(report, str) else json.dumps(report, indent=2) + "\n")
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    sys.stderr.write(f"{summary}  [{elapsed_ms:.1f} ms]\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ def generate_cube(n: int, ctx: Context = EXACT) -> Polyhedron:
     for i in range(n):
         rows.append([-1 if j == i else 0 for j in range(n)])
         offs.append(-1)
-    return Polyhedron.from_rows(rows, offs, ctx, minimal=True)
+    return Polyhedron.from_rows(rows, offs, ctx)
 
 
 def generate_cross_polytope(n: int, ctx: Context = EXACT) -> Polyhedron:
@@ -35,7 +35,7 @@ def generate_cross_polytope(n: int, ctx: Context = EXACT) -> Polyhedron:
     if n < 1:
         raise ShapeMismatch("dimension must be at least 1")
     rows = [list(signs) for signs in product((1, -1), repeat=n)]
-    return Polyhedron.from_rows(rows, [-1] * len(rows), ctx, minimal=True)
+    return Polyhedron.from_rows(rows, [-1] * len(rows), ctx)
 
 
 def generate_max_rank_orthant(n: int, ctx: Context = EXACT) -> Polyhedron:
@@ -68,7 +68,7 @@ def generate_max_rank_orthant(n: int, ctx: Context = EXACT) -> Polyhedron:
         row[i] = 1
         rows.append(row)
         offs.append(Fraction(-2, 3) if ctx.is_exact else -2.0 / 3.0)
-    return Polyhedron.from_rows(rows, offs, ctx, minimal=True)
+    return Polyhedron.from_rows(rows, offs, ctx)
 
 
 def generate_simplex(alphas, ctx: Context = EXACT) -> Polyhedron:
@@ -119,7 +119,7 @@ def simplex_from_vertices(verts, ctx: Context) -> Polyhedron:
             normal = [-x for x in normal]
         rows.append(normal)
         offs.append(dot(normal, base))
-    return Polyhedron.from_rows(rows, offs, ctx, minimal=True)
+    return Polyhedron.from_rows(rows, offs, ctx)
 
 
 def _hyperplane_normal(span: Mat, ctx: Context):

@@ -143,7 +143,7 @@ def canonical_polyhedron(h: Hedgehog) -> Polyhedron:
             k, s = _near_unit_scales(G)
             rows = [tuple(x * Fraction(k, si) for x in v) for v, si in zip(rows, s)]
     minus_one = -ctx.one()
-    return Polyhedron.from_rows(rows, [minus_one] * len(rows), ctx, minimal=True)
+    return Polyhedron.from_rows(rows, [minus_one] * len(rows), ctx)
 
 
 def reduce(P: Polyhedron):

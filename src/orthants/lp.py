@@ -98,7 +98,6 @@ class PositivityOutcome:
     witness_t: Optional[tuple] = None
     certificate_y: Optional[tuple] = None
     numeric_marginal: bool = False
-    eps_star: Optional[Scalar] = None
 
     @property
     def is_positive(self) -> bool:
@@ -448,16 +447,13 @@ def decide_positive(system) -> PositivityOutcome:
     s = ctx.sign(eps)
     if s > 0:
         t = [res.x[i] + eps for i in range(m)]
-        return PositivityOutcome(
-            Verdict.POSITIVE, ctx.backend, witness_t=tuple(t), eps_star=eps
-        )
+        return PositivityOutcome(Verdict.POSITIVE, ctx.backend, witness_t=tuple(t))
     marginal = (not ctx.is_exact) and s == 0
     return PositivityOutcome(
         Verdict.NOT_POSITIVE,
         ctx.backend,
         certificate_y=_certificate(res.dual, ctx),
         numeric_marginal=marginal,
-        eps_star=eps,
     )
 
 

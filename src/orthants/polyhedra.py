@@ -48,10 +48,9 @@ class Polyhedron:
 
     A: Mat
     b: tuple
-    minimal: bool = False
 
     @classmethod
-    def from_rows(cls, normals, offsets, ctx: Context, minimal: bool = False):
+    def from_rows(cls, normals, offsets, ctx: Context):
         A = Mat.from_rows(normals, ctx)
         b = tuple(ctx.coerce(x) for x in offsets)
         if A.rows < 1 or A.cols < 1:
@@ -61,7 +60,7 @@ class Polyhedron:
         for row in A.data:
             if all(ctx.sign(x) == 0 for x in row):
                 raise ShapeMismatch("zero row in facet matrix")
-        return cls(A, b, minimal)
+        return cls(A, b)
 
     @property
     def ctx(self) -> Context:
@@ -249,9 +248,7 @@ def remove_redundant(P: Polyhedron) -> Polyhedron:
         result.append((row_j, b_j))
     if not result:
         raise EmptyOrLowerDimensional("every inequality turned out removable")
-    return Polyhedron.from_rows(
-        [r for r, _ in result], [o for _, o in result], ctx, minimal=True
-    )
+    return Polyhedron.from_rows([r for r, _ in result], [o for _, o in result], ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,8 @@ from .errors import (
     RecessionNotStrictlyPositive,
     UnboundedPolyhedron,
 )
-from .matrix import Mat, _ratio, _tol_key, dot, normalize, solve_columns
+from .matrix import Mat, _ratio, _tol_key, dot, solve_columns
+from .hedgehogs import canonical_needle
 from .polyhedra import Polyhedron, _strict_multiplier, boundedness, require_nondegenerate
 from .frames import build, system_from_normals
 from . import lp
@@ -134,15 +135,6 @@ def verify_embedding(E: Embedding, sample_points=()) -> bool:
 # padding with auxiliary halfspaces
 
 
-def _direction_key(a, ctx: Context) -> tuple:
-    """One key per line through the origin: the normalized vector with its
-    first nonzero entry positive, rounded by ``tol`` on the float backend."""
-    d = normalize(a, ctx)
-    if next(x for x in d if ctx.sign(x) != 0) < 0:
-        d = tuple(-x for x in d)
-    return _tol_key(d, ctx)
-
-
 def _numerators(vectors, ctx: Context) -> tuple:
     """(numerators, d): exact vectors as integers over their least common
     denominator d, as ``_echelon`` scales; float vectors as they are, over 1."""
@@ -169,9 +161,10 @@ def _pad_and_embed(P: Polyhedron, aux_normals, generators, y=None) -> Embedding:
     """
     ctx = P.ctx
     own = [P.A.row(i) for i in range(P.nfacets)]
-    seen, added = {_direction_key(r, ctx) for r in own}, []
+    # one key per line through the origin, on the float backend rounded by tol
+    seen, added = {_tol_key(canonical_needle(r, ctx), ctx) for r in own}, []
     for a in aux_normals:
-        if (key := _direction_key(a, ctx)) not in seen:
+        if (key := _tol_key(canonical_needle(a, ctx), ctx)) not in seen:
             seen.add(key)
             added.append(list(a))
     At = P.A.transpose().data

@@ -127,6 +127,8 @@ def embed_simplex(S: SimplexMetric) -> tuple:
         raise NotOrthantError("embedding exists only for acute orthocentric simplices")
     ctx = S.ctx
     two = ctx.coerce(2)
+    if S.n == 1:  # a segment has no third vertex to fix the split; take halves
+        return (S.entry(0, 1) / two,) * 2
     x = []
     for i in range(S.n + 1):
         j, k = [v for v in range(S.n + 1) if v != i][:2]

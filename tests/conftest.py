@@ -56,7 +56,7 @@ def triangle_polyhedron(pts):
             normal = [-x for x in normal]
         rows.append(normal)
         offs.append(sum(n * p for n, p in zip(normal, a)))
-    return Polyhedron.from_rows(rows, offs, EXACT, minimal=True)
+    return Polyhedron.from_rows(rows, offs, EXACT)
 
 
 def is_acute_triangle(pts):

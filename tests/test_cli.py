@@ -1,9 +1,11 @@
 """The command line as a user runs it: exit codes, stdout JSON, stderr errors."""
 
+import ast
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -44,9 +46,15 @@ def orthants(*argv, stdin=""):
 
 def in_process(monkeypatch, capsys, *argv, stdin=""):
     """Run the CLI in this interpreter: (exit code, stdout)."""
+    return in_process_streams(monkeypatch, capsys, *argv, stdin=stdin)[:2]
+
+
+def in_process_streams(monkeypatch, capsys, *argv, stdin=""):
+    """Run the CLI in this interpreter: (exit code, stdout, stderr)."""
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = cli.main(list(argv))
-    return code, capsys.readouterr().out
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def rotated_text(kind, n, seed):
@@ -307,3 +315,117 @@ def test_every_subcommand_loads_only_the_standard_library():
     assert set(codes) == set(cli._parser()._subparsers._group_actions[0].choices)
     assert set(codes.values()) == {0}, codes
     assert foreign == []
+
+
+# -- the contract that cli.main owns ----------------------------------------------
+
+SQUARE = polyhedron_to_text(generate_cube(2))
+# needles at 0, 45 and 90 degrees span only a quarter turn: not orthant
+CORNER = polyhedron_to_text(Polyhedron.from_rows([[1, 0], [1, 1], [0, 1]], [0, -1, 0], EXACT))
+METRIC = '{"dim": 2, "d2": ["0", "2", "2", "2", "0", "2", "2", "2", "0"]}'
+GRAM = '{"m": 2, "g": ["1", "0", "0", "1"]}'
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code, summary",
+    [
+        (["is-orthant", "-"], SQUARE, 0, "is-orthant: Positive"),
+        (["is-orthant", "-"], CORNER, 1, "is-orthant: NotPositive"),
+        (["rank", "-"], SQUARE, 0, "rank 2, consistent=True"),
+        (["reduce", "-"], SQUARE, 0, "reduced to 2 needles"),
+        (["classify2d", "-"], SQUARE, 0, "classify2d: OrthantDegenerate"),
+        (["simplex", "-"], METRIC, 0, "simplex: OrthantAcuteOrthocentric"),
+        (["decompose", "-"], SQUARE, 0, "decompose: Orthant"),
+        (["embed", "-"], SQUARE, 0, "embed into dimension 4"),
+        (["realize", "-"], SQUARE, 0, "realized in dimension 6"),
+        (["gen", "cube", "2"], "", 0, "generated cube with 4 facets"),
+        (["cone", "-"], GRAM, 0, "cone: dnn=True"),
+    ],
+    ids=["is-orthant-yes", "is-orthant-no", "rank", "reduce", "classify2d", "simplex",
+         "decompose", "embed", "realize", "gen", "cone"],
+)
+def test_success_writes_the_report_and_one_timed_summary_line(
+    argv, stdin, code, summary, monkeypatch, capsys
+):
+    got, out, err = in_process_streams(monkeypatch, capsys, *argv, stdin=stdin)
+    assert got == code
+    assert out.endswith("\n")
+    if argv[0] not in ("reduce", "gen"):
+        assert json.loads(out)["command"] == argv[0]
+    assert re.fullmatch(re.escape(summary) + r"  \[\d+\.\d ms\]\n", err), err
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["is-orthant", "-"], "not structured text"),
+        (["rank", "MISSING"], ""),
+        (["reduce", "-"], '{"dim": 2, "rows": [{"a": ["0", "0"], "b": "0"}]}'),
+        (["classify2d", "-"], polyhedron_to_text(generate_cube(3))),
+        (["simplex", "-"], '{"dim": 2, "d2": ["0", "1"]}'),
+        (["decompose", "-"], '{"dim": 2, "rows": [{"a": ["1", "0"], "b": "0"}]}'),
+        (["embed", "-"], CORNER),
+        (["realize", "-"], "[]"),
+        (["gen", "cube", "x"], ""),
+        (["cone", "--cp", "MISSING", "-"], GRAM),
+        (["--backend", "float", "--tol", "0", "rank", "-"], SQUARE),
+    ],
+    ids=["not-json", "missing-file", "zero-row", "classify2d-3d", "short-metric",
+         "degenerate", "embed-not-orthant", "not-an-object", "gen-size-x",
+         "missing-factor", "tol-0"],
+)
+def test_failure_leaves_stdout_empty_and_writes_one_error_line(
+    argv, stdin, monkeypatch, capsys, tmp_path
+):
+    argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
+    code, out, err = in_process_streams(monkeypatch, capsys, *argv, stdin=stdin)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+def test_only_cli_main_writes_to_the_standard_streams():
+    # a print or stream write anywhere else would bypass the one owner of
+    # stdout, stderr and the exit code
+    def writes(node):
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        if isinstance(f, ast.Name):
+            return f.id == "print"
+        return (
+            isinstance(f, ast.Attribute) and f.attr == "write"
+            and isinstance(f.value, ast.Attribute) and f.value.attr in ("stdout", "stderr")
+            and isinstance(f.value.value, ast.Name) and f.value.value.id == "sys"
+        )
+
+    package = os.path.join(SRC, "orthants")
+    found, owner = [], None
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        if name == "cli.py":
+            owner = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+        allowed = {id(n) for n in ast.walk(owner)} if name == "cli.py" else set()
+        found += [(name, n.lineno) for n in ast.walk(tree) if writes(n) and id(n) not in allowed]
+    assert owner is not None and any(writes(n) for n in ast.walk(owner))
+    assert found == []
+
+
+# x >= 1 and -x >= 0 leave no point, and the unit square has the same normals
+EMPTY = polyhedron_to_text(
+    Polyhedron.from_rows([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 0, -1], EXACT)
+)
+UNIT_SQUARE = polyhedron_to_text(
+    Polyhedron.from_rows([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, -1, 0, -1], EXACT)
+)
+
+
+@pytest.mark.parametrize("command", ["is-orthant", "rank", "classify2d", "decompose"])
+def test_facet_direction_commands_ignore_offsets_and_emptiness(command, monkeypatch, capsys):
+    empty = in_process(monkeypatch, capsys, command, "-", stdin=EMPTY)
+    square = in_process(monkeypatch, capsys, command, "-", stdin=UNIT_SQUARE)
+    assert empty == square
+    assert empty[0] == 0

@@ -66,16 +66,16 @@ def test_facet_counts(kind):
 @pytest.mark.parametrize(
     "kind, sizes", [("cube", (1, 2, 3, 4)), ("cross", (1, 2, 3)), ("endgo", (1, 2, 3))]
 )
-def test_minimal_flag_is_honest(kind, sizes):
+def test_every_generated_row_is_a_facet(kind, sizes):
     for n in sizes:
         P = FAMILIES[kind][0](n)
-        assert P.minimal and every_row_is_a_facet(P), (kind, n)
+        assert every_row_is_a_facet(P), (kind, n)
 
 
 def test_simplex_exact_when_the_pivots_are_squares():
     alphas = [3, 4, 7]
     P = generate_simplex(alphas)
-    assert P.ctx is EXACT and P.minimal and P.nfacets == 3
+    assert P.ctx is EXACT and P.nfacets == 3
     assert every_row_is_a_facet(P)
     verts = simplex_vertices(P)
     assert edge_lengths(alphas) == sorted(squared_distance(u, v) for u, v in combinations(verts, 2))

@@ -76,7 +76,7 @@ class TestRemoveRedundant:
             EXACT,
         )
         red = remove_redundant(P)
-        assert red.nfacets == 4 and red.minimal
+        assert red.nfacets == 4
 
     def test_minimal_triangle_is_fixed(self):
         tri = Polyhedron.from_rows([[0, 1], [-1, -1], [3, -1]], [0, -4, 0], EXACT)

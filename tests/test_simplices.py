@@ -17,6 +17,7 @@ from orthants import (
     build,
     classify_simplex,
     decide_positive,
+    embed_simplex,
     is_realizable,
     simplex_from_vertices,
 )
@@ -130,3 +131,12 @@ class TestRealizable:
                     if p not in verts:
                         verts.append(p)
                 assert not is_realizable(_metric(verts))
+
+
+def test_a_segment_embeds_by_halving_its_squared_length():
+    # no third vertex fixes the split x_0 + x_1 = d2_01; the halves are one
+    # positive split, and the segment from sqrt(x_0) e_0 to sqrt(x_1) e_1 has
+    # squared length x_0 + x_1
+    S = SimplexMetric.from_squared_distances([[0, 3], [3, 0]], EXACT)
+    assert classify_simplex(S) == SimplexClass.ORTHANT_ACUTE_ORTHOCENTRIC
+    assert embed_simplex(S) == (Fraction(3, 2), Fraction(3, 2))
