@@ -54,11 +54,7 @@ from .simplices import (
     embed_simplex,
     is_realizable,
 )
-from .decompose import (
-    Decomposition,
-    find_basic_decomposition,
-    split_solution,
-)
+from .decompose import Decomposition, find_basic_decomposition
 from .realize import (
     Embedding,
     affine_embedding,

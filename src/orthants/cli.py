@@ -6,11 +6,15 @@ fields, so identical inputs produce byte-identical stdout.  A failure
 leaves stdout empty and writes one ``error:`` line to stderr.
 
 Exit codes: 0 for a positive decision (or plain success), 1 when
-``is-orthant`` answers no, 2 for parse or precondition failures.
+``is-orthant`` answers no, 2 for parse or precondition failures, bad
+arguments included (``--help`` still exits 0).
 
 ``is-orthant``, ``rank``, ``classify2d`` and ``decompose`` answer for the
 facet directions alone: offsets, and so emptiness, do not enter, and an
 empty system reports as the nonempty one with the same facet normals.
+``embed`` and ``realize`` accept an empty system too: the Gram identity
+that makes the map an isometry does not involve offsets, and the section
+is the image of P, which is empty on both sides.
 
 The scalar backend is the ``--backend`` option alone, ``exact`` unless
 given: it overrides any ``"backend"`` field of an input file, so a file
@@ -261,10 +265,17 @@ def _cmd_cone(args, ctx):
 # -- entry point -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad argument is a ParseError, which cli.main answers like any other."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The one argument parser of the process; parse_args leaves it unchanged."""
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="orthants",
         description="Decide and certify realizations of polyhedra as orthant sections.",
     )
@@ -307,9 +318,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """The one writer of stdout and stderr; the subcommands only compute."""
-    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        args = _parser().parse_args(argv)
         report, summary, code = args.handler(args, _ctx(args))
     except (OrthantsError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -10,16 +10,20 @@ verdicts are considered certified.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import BackendMismatch, ParseError
+from .errors import BackendMismatch, OrthantsError, ParseError
 
 Scalar = Union[Fraction, float]
 
 EXACT_BACKEND = "exact"
 FLOAT_BACKEND = "float"
+# the largest decimal exponent a scalar literal may carry, as Python's default
+# limit on int-to-string conversion (4300 digits)
+_MAX_EXPONENT = 4300
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,10 @@ class Context:
             raise ParseError(f"scalar must be a string, not {text!r}")
         text = text.strip()
         try:
+            # Fraction would expand 10**exponent in full before any check
+            _, e, exponent = text.lower().partition("e")
+            if e and abs(int(exponent)) > _MAX_EXPONENT:
+                raise ValueError(f"exponent beyond {_MAX_EXPONENT} in magnitude")
             if self.is_exact:
                 return Fraction(text)
             return float(Fraction(text))
@@ -77,7 +85,13 @@ class Context:
 
     def format(self, x: Scalar) -> str:
         if self.is_exact:
-            return str(x)
+            try:
+                return str(x)
+            except ValueError:  # Python's limit on int-to-string conversion
+                raise OrthantsError(
+                    f"a result has more than {sys.get_int_max_str_digits()} digits, "
+                    "the limit for printing an integer"
+                ) from None
         return repr(float(x))
 
     # -- comparisons ---------------------------------------------------

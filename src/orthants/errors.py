@@ -53,14 +53,6 @@ class TooManyNeedles(OrthantsError):
     """Needle count exceeds the brute-force guard."""
 
 
-class IncompleteDecomposition(OrthantsError):
-    """The basic leaves of a witness split fail to reach the system rank."""
-
-
-class NoKernel(OrthantsError):
-    """The coefficient matrix has full column rank, so no solution line exists."""
-
-
 class NotRealizable(OrthantsError):
     """The squared-distance matrix is not the metric of a nondegenerate simplex."""
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately self-contained (fractions, itertools and
 math.isqrt only), so agreement with the library is a genuine two-route
-check: plain rational row reduction for ranks and solutions, the
+check: plain rational row reduction for ranks, solutions and kernels, the
+split tree of a positive weighting for basic decompositions, the
 permutation expansion for determinants, Sylvester's principal minors for
 semidefiniteness, the Fraction definition of the canonical rows of a
 hedgehog, and Fourier-Motzkin
@@ -16,56 +17,58 @@ from itertools import combinations, permutations
 from math import isqrt
 
 
-def rref_rank(rows):
-    """Rank by textbook rational row reduction."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    if not a:
-        return 0
-    m, n = len(a), len(a[0])
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
+def _rref(a, ncols):
+    """Textbook Gauss-Jordan on the Fraction rows a, in place, over their
+    first ncols columns; returns the pivot columns in order."""
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
         p = a[r][col]
         a[r] = [x / p for x in a[r]]
-        for i in range(m):
+        for i in range(len(a)):
             if i != r and a[i][col] != 0:
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+        pivots.append(col)
+    return pivots
+
+
+def rref_rank(rows):
+    """Rank by textbook rational row reduction."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    return len(_rref(a, len(a[0]))) if a else 0
 
 
 def solve_any(rows, rhs):
     """Some rational solution of rows . x = rhs, or None."""
     a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    m = len(a)
     n = len(a[0]) - 1
-    piv_cols = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][col]
-        a[r] = [x / p for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv_cols.append(col)
-        r += 1
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None
+    piv_cols = _rref(a, n)
+    if any(row[n] != 0 for row in a[len(piv_cols):]):
+        return None
     x = [Fraction(0)] * n
     for row_i, col in enumerate(piv_cols):
         x[col] = a[row_i][n]
+    return x
+
+
+def kernel_vector(rows):
+    """A nonzero x with rows . x = 0, read off the rref at the first free
+    column, or None when the columns are independent."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a[0])
+    piv_cols = _rref(a, n)
+    free = next((j for j in range(n) if j not in piv_cols), None)
+    if free is None:
+        return None
+    x = [Fraction(0)] * n
+    x[free] = Fraction(1)
+    for row_i, col in enumerate(piv_cols):
+        x[col] = -a[row_i][free]
     return x
 
 
@@ -124,26 +127,10 @@ def strictly_positive_solvable(q_rows, c):
     variable-free consequence 0 + const > 0 holds.
     """
     a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(q_rows, c)]
-    m = len(a)
     n = len(a[0]) - 1
-    piv_cols = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][col]
-        a[r] = [x / p for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv_cols.append(col)
-        r += 1
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return False  # no solution at all
+    piv_cols = _rref(a, n)
+    if any(row[n] != 0 for row in a[len(piv_cols):]):
+        return False  # no solution at all
     free_cols = [j for j in range(n) if j not in piv_cols]
     pos_of_free = {col: k for k, col in enumerate(free_cols)}
 
@@ -162,6 +149,63 @@ def strictly_positive_solvable(q_rows, c):
         strict_rows.append((coeffs, const))
 
     return all(const > 0 for _, const, _ in _eliminate(strict_rows, len(free_cols)))
+
+
+def split_walk(q_rows, c, t):
+    """Walk a positive solution t of Q t = c both ways along Q's first
+    kernel direction, to where it leaves the closed positive orthant.
+
+    Returns (u, v, I, J): the two wall points and their zero sets, which
+    are nonempty and disjoint since t lies strictly between u and v.
+    Raises ValueError when t is not an exact positive solution, or when Q
+    has independent columns, so that t is the only solution.
+    """
+    t = [Fraction(x) for x in t]
+    if any(x <= 0 for x in t) or any(_dot(row, t) != b for row, b in zip(q_rows, c)):
+        raise ValueError("t is not an exact positive solution of Q t = c")
+    d = kernel_vector(q_rows)
+    if d is None:
+        raise ValueError("Q has independent columns; the weighting is unique")
+    # the trace row sum_i t_i |a_i|^2 = n rules out a one-signed d
+    up = min(x / -y for x, y in zip(t, d) if y < 0)
+    down = min(x / y for x, y in zip(t, d) if y > 0)
+    u = [x + up * y for x, y in zip(t, d)]
+    v = [x - down * y for x, y in zip(t, d)]
+    return u, v, {i for i, x in enumerate(u) if x == 0}, {i for i, x in enumerate(v) if x == 0}
+
+
+def split_leaves(q_rows, c, t):
+    """The split tree of a positive solution t: the second route to a basic
+    decomposition.
+
+    Each node's solution is split by split_walk on its columns, and each
+    wall, with its zeros dropped, is a child; a node whose columns are
+    independent is a basic leaf, kept when it raises the rank of the union.
+    Every facet stays positive at one of the two walls, so the leaves cover
+    every column.  Returns (columns, weighting) pairs reaching rank Q.  A
+    visited set skips repeated column sets, whose leaves are already kept.
+    """
+    full = rref_rank(q_rows)
+    leaves, union, union_rank, seen = [], set(), 0, set()
+    stack = [(tuple(range(len(t))), t)]
+    while union_rank < full:
+        cols, w = stack.pop()
+        if cols in seen:
+            continue
+        seen.add(cols)
+        sub = [[row[j] for j in cols] for row in q_rows]
+        if rref_rank(sub) < len(cols):
+            u, v, I, J = split_walk(sub, c, w)
+            for point, zeros in ((v, J), (u, I)):
+                keep = [k for k in range(len(cols)) if k not in zeros]
+                stack.append((tuple(cols[k] for k in keep), tuple(point[k] for k in keep)))
+            continue
+        trial = union | set(cols)
+        trial_rank = rref_rank([[row[j] for j in sorted(trial)] for row in q_rows])
+        if trial_rank > union_rank:
+            leaves.append((cols, w))
+            union, union_rank = trial, trial_rank
+    return leaves
 
 
 def strictly_feasible(rows, offsets):

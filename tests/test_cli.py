@@ -8,12 +8,15 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from conftest import rational_rotation
 from oracles import rref_rank
 from orthants import (
+    Embedding,
+    Mat,
     Polyhedron,
     build,
     cli,
@@ -21,6 +24,7 @@ from orthants import (
     generate_cube,
     generate_max_rank_orthant,
     lp,
+    verify_embedding,
 )
 from orthants.context import EXACT
 from orthants.errors import ParseError
@@ -170,6 +174,13 @@ def test_realize_endgo7_beyond_the_ray_guard():
 
 
 QUADRANT = '{"dim": 2, "rows": [{"a": ["1", "0"], "b": "0"}, {"a": ["0", "1"], "b": "0"}]}'
+# a ray whose offset has 4301 digits, and a triangle whose realize offsets pass
+# Python's 4300-digit limit on printing an integer
+HUGE_RAY = '{"dim": 1, "rows": [{"a": ["1"], "b": "0"}, {"a": ["-1"], "b": "-1e4300"}]}'
+HUGE_TRIANGLE = json.dumps({"dim": 2, "rows": [
+    {"a": ["1e2200", "0"], "b": "0"}, {"a": ["0", "1e2200"], "b": "0"},
+    {"a": ["-1e2200", "-1e2200"], "b": "-1e2200"},
+]})
 
 
 @pytest.mark.parametrize(
@@ -188,6 +199,10 @@ QUADRANT = '{"dim": 2, "rows": [{"a": ["1", "0"], "b": "0"}, {"a": ["0", "1"], "
         (["gen", "endgo", "3", "1"], ""),
         (["gen", "cube", "100000000"], ""),
         (["gen", "cross", "40"], ""),
+        (["embed", "-"], HUGE_RAY),
+        (["realize", "-"], HUGE_RAY),
+        (["realize", "-"], HUGE_TRIANGLE),
+        (["is-orthant", "-"], HUGE_RAY.replace("1e4300", "1e999999999")),
     ] + [
         (["--backend", "float", "--tol", tol, "is-orthant", "-"], QUADRANT)
         for tol in ("0", "-1", "nan", "inf")
@@ -196,7 +211,8 @@ QUADRANT = '{"dim": 2, "rows": [{"a": ["1", "0"], "b": "0"}, {"a": ["0", "1"], "
         "dim-not-an-integer", "numbers-for-scalars", "float-overflow",
         "gen-cube-x", "gen-cross-1.5", "gen-endgo-empty",
         "gen-cube-2-3", "gen-endgo-3-1", "gen-cube-1e8", "gen-cross-40",
-        "tol-0", "tol-negative", "tol-nan",
+        "embed-huge-offset", "realize-huge-offset", "realize-huge-triangle",
+        "huge-exponent", "tol-0", "tol-negative", "tol-nan",
         "tol-inf",
     ],
 )
@@ -208,6 +224,10 @@ def test_malformed_input_exits_2_without_traceback(argv, doc):
     assert "Traceback" not in err
     if "--tol" in argv:
         assert err.startswith("error: --tol ")
+    if "1e999999999" in doc:
+        assert "exponent beyond 4300" in err
+    elif "e2200" in doc or "e4300" in doc:
+        assert "4300 digits" in err
 
 
 @pytest.mark.parametrize("kind, size", [("cube", "100000000"), ("cross", "40")])
@@ -260,10 +280,7 @@ def test_the_shared_parser_keeps_no_state_between_calls(monkeypatch, capsys):
     codes = set()
     for argv, text in calls:
         alone = orthants(*argv, stdin=text)[:2]
-        try:
-            shared = in_process(monkeypatch, capsys, *argv, stdin=text)
-        except SystemExit as exc:
-            shared = (exc.code, capsys.readouterr().out)
+        shared = in_process(monkeypatch, capsys, *argv, stdin=text)
         assert shared == alone, argv
         codes.add(shared[0])
         if "--dump-bang" not in argv and shared[1]:
@@ -369,10 +386,12 @@ def test_success_writes_the_report_and_one_timed_summary_line(
         (["gen", "cube", "x"], ""),
         (["cone", "--cp", "MISSING", "-"], GRAM),
         (["--backend", "float", "--tol", "0", "rank", "-"], SQUARE),
+        (["gen", "cube"], ""),
+        (["--backend", "quad", "rank", "-"], SQUARE),
     ],
     ids=["not-json", "missing-file", "zero-row", "classify2d-3d", "short-metric",
          "degenerate", "embed-not-orthant", "not-an-object", "gen-size-x",
-         "missing-factor", "tol-0"],
+         "missing-factor", "tol-0", "gen-no-size", "backend-quad"],
 )
 def test_failure_leaves_stdout_empty_and_writes_one_error_line(
     argv, stdin, monkeypatch, capsys, tmp_path
@@ -429,3 +448,25 @@ def test_facet_direction_commands_ignore_offsets_and_emptiness(command, monkeypa
     square = in_process(monkeypatch, capsys, command, "-", stdin=UNIT_SQUARE)
     assert empty == square
     assert empty[0] == 0
+
+
+def embedding_from_report(doc):
+    """The Embedding that an embed or realize report describes."""
+    rows = doc["rows"]
+    return Embedding(
+        doc["source_dim"], doc["target_dim"], tuple(Fraction(v) for v in doc["t"]),
+        Mat.from_rows([r["a"] for r in rows], EXACT), tuple(Fraction(r["b"]) for r in rows),
+        doc["affine"],
+    )
+
+
+@pytest.mark.parametrize("command", ["embed", "realize"])
+def test_embed_and_realize_accept_the_empty_system(command, monkeypatch, capsys):
+    # the Gram identity involves no offsets, so the map is still an isometry,
+    # and the section is the image of P: empty on both sides
+    code, out = in_process(monkeypatch, capsys, command, "-", stdin=EMPTY)
+    _, square = in_process(monkeypatch, capsys, command, "-", stdin=UNIT_SQUARE)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["target_dim"] == json.loads(square)["target_dim"]
+    assert verify_embedding(embedding_from_report(doc))

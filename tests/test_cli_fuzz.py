@@ -2,8 +2,8 @@
 both backends, answers with exit code 0, 1 or 2 and raises nothing; exit 2
 leaves stdout empty and writes one ``error:`` line to stderr.
 
-A generated document is well formed, or has one defect: a bad scalar
-literal or a JSON value that is no string, a missing key, a bad dimension,
+A generated document is well formed, or has one defect: a bad or huge
+scalar literal or a JSON value that is no string, a missing key, a bad dimension,
 a stray ``"backend"`` field, or text that is no JSON object."""
 
 import io
@@ -26,7 +26,8 @@ SCALARS = st.one_of(
 )
 POSITIVE = st.sampled_from(["1", "2", "3", "1/2", "5/4", "0.25"])
 BAD_SCALARS = st.one_of(
-    st.sampled_from(["", "x", "1/0", "nan", "inf", "-inf", "1e400", "--1", "0x10", "1 2"]),
+    st.sampled_from(["", "x", "1/0", "nan", "inf", "-inf", "1e400", "--1", "0x10", "1 2",
+                     "1e999999999", "-1e4300", "1e2200"]),
     st.none(), st.booleans(), st.integers(-2, 2), st.floats(allow_nan=True),
     st.just([]), st.just({}),
 )

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from orthants.context import EXACT, FLOAT, Context, common_context
-from orthants.errors import BackendMismatch, ParseError
+from orthants.errors import BackendMismatch, OrthantsError, ParseError
 
 
 class TestContext:
@@ -85,3 +85,15 @@ class TestContext:
         assert FLOAT.format(0.25) == "0.25"
         assert FLOAT.format(Fraction(1, 3)) == repr(1 / 3)
         assert FLOAT.format(-1e-300) == "-1e-300"
+
+    def test_exponents_beyond_4300_are_refused_before_expansion(self):
+        assert EXACT.parse("1e4300") == 10**4300
+        assert EXACT.parse("-2.5E-4300") == Fraction(-25, 10**4301)
+        for ctx in (EXACT, FLOAT):
+            for text in ("1e4301", "1e-4301", "1e999999999", "3/1e999999999"):
+                with pytest.raises(ParseError):
+                    ctx.parse(text)
+
+    def test_format_names_the_digit_limit(self):
+        with pytest.raises(OrthantsError, match="4300 digits"):
+            EXACT.format(Fraction(10**4300))

@@ -1,4 +1,5 @@
-"""Decomposition into basic orthant subsystems, checked against tests/oracles.py."""
+"""Decomposition into basic orthant subsystems, checked against tests/oracles.py,
+whose split tree is the second route to a basic decomposition."""
 
 import random
 from fractions import Fraction
@@ -13,13 +14,12 @@ from orthants import (
     generate_cross_polytope,
     generate_cube,
     generate_max_rank_orthant,
-    split_solution,
 )
 from orthants.context import EXACT, FLOAT
-from orthants.errors import InvalidWitness, NoKernel
+from orthants.decompose import Decomposition
 from orthants.matrix import rank
 from conftest import rational_rotation, rotated, shuffled
-from oracles import rref_rank, strictly_positive_solvable
+from oracles import rref_rank, split_leaves, split_walk, strictly_positive_solvable
 
 FAMILIES = {
     "cube": generate_cube,
@@ -63,15 +63,37 @@ def check_decomposition(P, dec, exact):
     assert dec.union_rank == rref_rank(columns(Q, sorted(union))) == rref_rank(Q)
 
 
+# exact up to endgo 7, float up to 5
+CASES = [(kind, n, ctx) for kind in sorted(FAMILIES) for n in (2, 3, 4, 5) for ctx in (EXACT, FLOAT)]
+CASES += [("endgo", n, EXACT) for n in (6, 7)]
+
+
 class TestFamilies:
-    @pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    """Each kept vertex support strictly raises the union rank, so there are
+    at most rank Q leaves, and a basic system is its own one leaf."""
+
+    @pytest.mark.parametrize(
+        "kind,n,ctx", CASES, ids=[f"{k}-{n}-{c.backend}" for k, n, c in CASES]
+    )
     def test_basic_subsets_reach_full_rank(self, kind, n, ctx):
-        P = FAMILIES[kind](n, ctx)
-        dec = find_basic_decomposition(P)
+        dec = find_basic_decomposition(FAMILIES[kind](n, ctx))
         assert dec is not None
-        check_decomposition(FAMILIES[kind](n, EXACT), dec, ctx.is_exact)
+        P = FAMILIES[kind](n, EXACT)
+        check_decomposition(P, dec, ctx.is_exact)
+        Q = q_rows(P)
+        union, ranks = set(), [0]
+        for subset in dec.subsets:
+            union.update(subset)
+            ranks.append(rref_rank(columns(Q, sorted(union))))
+        assert all(a < b for a, b in zip(ranks, ranks[1:]))
+        assert len(dec.subsets) <= rref_rank(Q)
+
+    def test_basic_system_is_its_own_leaf(self):
+        P = Polyhedron.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0], EXACT)
+        dec = find_basic_decomposition(P)
+        check_decomposition(P, dec, True)
+        assert dec.subsets == ((0, 1, 2),)
+        assert dec.witnesses == (decide_positive(build(P)).witness_t,)
 
 
 class TestRandomHedgehogs:
@@ -92,6 +114,30 @@ class TestRandomHedgehogs:
                 check_decomposition(P, dec, True)
             verdicts[orthant] += 1
         assert verdicts[True] >= 10 and verdicts[False] >= 10
+
+    def test_split_tree_and_vertex_leaves_reach_the_same_rank(self):
+        # the hedgehogs of the verdict test above, in the same order
+        rng = random.Random(20140722)
+        orthant = 0
+        while orthant < 40:
+            n = rng.randint(2, 4)
+            P = random_hedgehog(rng, n, rng.randint(n, 9))
+            if P is None:
+                continue
+            B = build(P)
+            outcome = decide_positive(B)
+            if not outcome.is_positive:
+                continue
+            Q = q_rows(P)
+            leaves = split_leaves(Q, list(B.c), outcome.witness_t)
+            tree = Decomposition(
+                tuple(cols for cols, _ in leaves), tuple(w for _, w in leaves), rref_rank(Q)
+            )
+            dec = find_basic_decomposition(P)
+            check_decomposition(P, tree, True)
+            check_decomposition(P, dec, True)
+            assert tree.union_rank == dec.union_rank
+            orthant += 1
 
 
 class TestFrameIndependence:
@@ -123,6 +169,8 @@ class TestFrameIndependence:
 
 
 class TestSplitSolution:
+    """The walls of split_walk, the step of the split tree in tests/oracles.py."""
+
     def test_walls_of_positive_weightings(self):
         rng = random.Random(7)
         split = 0
@@ -135,10 +183,9 @@ class TestSplitSolution:
             outcome = decide_positive(B)
             if not outcome.is_positive or rank(B.Q) == P.nfacets:
                 continue
-            t = outcome.witness_t
-            u, v, I, J = split_solution(B, t)
             Q = q_rows(P)
             c = list(B.c)
+            u, v, I, J = split_walk(Q, c, outcome.witness_t)
             for point, zeros in ((u, I), (v, J)):
                 assert all(x >= 0 for x in point)
                 assert zeros == {j for j, x in enumerate(point) if x == 0}
@@ -149,11 +196,10 @@ class TestSplitSolution:
 
     def test_basic_system_has_no_kernel(self):
         P = Polyhedron.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0], EXACT)
-        B = build(P)
-        with pytest.raises(NoKernel):
-            split_solution(B, [Fraction(1)] * 3)
+        with pytest.raises(ValueError, match="independent columns"):
+            split_walk(q_rows(P), list(build(P).c), [Fraction(1)] * 3)
 
     def test_rejects_a_non_solution(self):
-        B = build(generate_cube(2, EXACT))
-        with pytest.raises(InvalidWitness):
-            split_solution(B, [Fraction(1)] * 4)
+        P = generate_cube(2, EXACT)
+        with pytest.raises(ValueError, match="not an exact positive solution"):
+            split_walk(q_rows(P), list(build(P).c), [Fraction(1)] * 4)
