@@ -5,14 +5,17 @@ The engine is a dense two-phase simplex, pivoting by Bland's rule
 index).  On the exact backend floats choose the basis and exact arithmetic
 proves it (Applegate, Cook, Dash & Espinoza 2007; Gleixner, Steffy &
 Wolter 2016): the simplex first runs on float copies of the data, and only
-its final basis is kept.  With every column scaled to integers once, two
-fraction-free solves with that basis give the primal point and the dual
-vector over a common denominator, and the answer is accepted only when
-they pass the integer optimality or Farkas checks below; Fractions are
-built only for the answer.  Whenever the float run or a check fails, the
-same LP runs through the exact Bland simplex, which terminates in exact
-arithmetic and is the reference route.  No float number reaches an
-exact answer.  The float backend runs the simplex once, in floats.
+its final basis is kept.  A basic artificial column is a unit vector
+e_k, so it touches row k alone: with every column scaled to integers
+once, two fraction-free solves on the k x k block of the k structural
+basic columns give the primal point and the dual vector over a common
+denominator.  The answer is accepted only when they pass the integer
+optimality or Farkas checks, which run on every row and column of the
+LP; Fractions are built only for the answer.  Whenever the float run or
+a check fails, the same LP runs through the exact Bland simplex, which
+terminates in exact arithmetic and is the reference route.  No float
+number reaches an exact answer.  The float backend runs the simplex
+once, in floats.
 
 Every outcome carries an exactly checkable object: an optimal point with
 its dual vector, a Farkas ray proving infeasibility, or an improving ray
@@ -122,17 +125,22 @@ class _Tableau:
     nonsingular.  The identity block therefore always holds B^-1, and the
     dual y = c_B B^-1 is read off the z-line on the artificial columns
     instead of by a second elimination.
+
+    Sign tests compare against ``tol``: 0 on the exact backend, ``ctx.tol``
+    on the float one.  An entry x is positive when x > tol, negative when
+    x < -tol and zero when |x| <= tol, the rule of ``Context.sign``.
     """
 
     def __init__(self, A_rows, b, n, ctx: Context):
         self.ctx = ctx
+        self.tol = tol = 0 if ctx.is_exact else ctx.tol
         self.m = len(A_rows)
         self.n = n
         self.flip = []
         self.T = []
         for i in range(self.m):
             unit = [ctx.one() if k == i else ctx.zero() for k in range(self.m)]
-            if ctx.sign(b[i]) < 0:
+            if b[i] < -tol:
                 self.T.append([-x for x in A_rows[i]] + unit + [-b[i]])
                 self.flip.append(-1)
             else:
@@ -146,56 +154,44 @@ class _Tableau:
 
     def zline(self, costs):
         """Reduced-cost row plus negated objective value for the current basis."""
-        ctx = self.ctx
-        z = list(costs) + [ctx.zero()]
+        z = list(costs) + [self.ctx.zero()]
         for i, bi in enumerate(self.basis):
             cb = costs[bi]
-            if ctx.sign(cb) != 0:
-                trow = self.T[i]
-                for j in range(self.width + 1):
-                    z[j] -= cb * trow[j]
+            if abs(cb) > self.tol:
+                z = [x - cb * y for x, y in zip(z, self.T[i])]
         return z
 
     def pivot(self, r, e, z):
-        ctx = self.ctx
+        tol = self.tol
         trow = self.T[r]
-        p = trow[e]
-        inv = ctx.one() / p
+        inv = self.ctx.one() / trow[e]
         self.T[r] = trow = [x * inv for x in trow]
-        for i in range(len(self.T)):
-            if i == r:
-                continue
-            f = self.T[i][e]
-            if ctx.sign(f) != 0:
-                row = self.T[i]
+        for i, row in enumerate(self.T):
+            f = row[e]
+            if i != r and abs(f) > tol:
                 self.T[i] = [x - f * y for x, y in zip(row, trow)]
         f = z[e]
-        if ctx.sign(f) != 0:
-            for j in range(self.width + 1):
-                z[j] -= f * trow[j]
+        if abs(f) > tol:
+            z[:] = [x - f * y for x, y in zip(z, trow)]
         self.basis[r] = e
 
     def bland(self, costs, allowed_width):
         """Run Bland pivoting; return (z-line, None) at an optimum, or
         (z-line, e) when no ratio limits the step of entering column e."""
-        ctx = self.ctx
+        tol = self.tol
         z = self.zline(costs)
         for _ in range(_MAX_PIVOTS):
-            enter = None
-            for j in range(allowed_width):
-                if ctx.sign(z[j]) > 0:
-                    enter = j
-                    break
+            enter = next((j for j in range(allowed_width) if z[j] > tol), None)
             if enter is None:
                 return z, None
             leave = None
             best = None
-            for i in range(len(self.T)):
-                a = self.T[i][enter]
-                if ctx.sign(a) > 0:
-                    ratio = self.T[i][-1] / a
-                    if best is None or ctx.lt(ratio, best) or (
-                        ctx.eq(ratio, best) and self.basis[i] < self.basis[leave]
+            for i, row in enumerate(self.T):
+                a = row[enter]
+                if a > tol:
+                    ratio = row[-1] / a
+                    if best is None or (d := ratio - best) < -tol or (
+                        d <= tol and self.basis[i] < self.basis[leave]
                     ):
                         best = ratio
                         leave = i
@@ -213,20 +209,20 @@ class _Tableau:
         ratio limit in phase 2) or "optimal"; costs and z are the objective
         and the z-line of the phase that ended.
         """
-        ctx, m, n = self.ctx, self.m, self.n
+        ctx, m, n, tol = self.ctx, self.m, self.n, self.tol
         if m:
             phase1 = [ctx.zero()] * n + [-ctx.one()] * m
             z, enter = self.bland(phase1, self.width)
             if enter is not None:
                 return "stopped", phase1, z, enter
-            if ctx.sign(-z[-1]) < 0:
+            if z[-1] > tol:
                 return "infeasible", phase1, z, None
             # drive leftover artificials out of the basis where a structural
             # column allows it; the rest sit on redundant rows and stay basic
             for i in range(m):
                 if self.basis[i] >= n:
                     enter = next(
-                        (j for j in range(n) if ctx.sign(self.T[i][j]) != 0), None
+                        (j for j in range(n) if abs(self.T[i][j]) > tol), None
                     )
                     if enter is not None:
                         self.pivot(i, enter, z)
@@ -309,11 +305,20 @@ def _prove_basis(A_rows, b, c, status, basis, flip):
     The proof runs on integers: A~ = A diag(sigma), with sigma_j the lcm of
     column j's denominators, b~ = beta b and c~_j = gamma c_j sigma_j; per
     column, since a weighting row of Q mixes every facet's denominators.
-    Column n+k of the basis is the artificial flip[k] e_k.  Fraction-free
-    solves give B~ z = b~ as Z / D and y B~ = c~_B as Y / E, free variables
-    at zero as before scaling.  An "infeasible" guess (-1 on artificials)
-    gives the Farkas ray -Y / E if Y.A~_j >= 0 for every j and Y.b~ < 0.
-    An "optimal" guess needs basic artificials at 0, A~ Z = b~ D, Z >= 0,
+    Column n+k of the basis is the artificial flip[k] e_k, which touches row
+    k alone.  So with S the k structural basic columns and R the k rows that
+    no basic artificial covers, both solves run on the k x k block A~_RS,
+    fraction-free, with free variables at zero as before scaling.
+
+    Primal: A~_RS z = b~_R gives z_S = Z / D.  The basic artificials then
+    hold b~_k - A~_kS z_S on their rows, so the check A~ Z = b~ D over all
+    rows, not only R, is what proves them 0.
+    Dual: y B~ = c~_B fixes y_k on every covered row, 0 in phase 2 and
+    -flip[k] in phase 1, where an artificial costs -1.  The rest of y solves
+    y_R A~_RS = c~_S in phase 2 and y_R A~_RS = sum_k flip[k] A~_kS in
+    phase 1, as Y / E.
+    An "infeasible" guess gives the Farkas ray -Y / E if Y.A~_j >= 0 for
+    every j and Y.b~ < 0.  An "optimal" guess needs A~ Z = b~ D, Z >= 0,
     Y.A~_j >= c~_j E for every j and (Y.b~) D = (c~.Z) E; then
     x_j = sigma_j Z_j / (D beta) is optimal and Y / (E gamma) dual optimal.
     A singular basis whose solutions pass every check proves all the same.
@@ -326,30 +331,34 @@ def _prove_basis(A_rows, b, c, status, basis, flip):
     ]
     beta = lcm(*(v.denominator for v in b))
     bt = [v.numerator * (beta // v.denominator) for v in b]
-    basic = [
-        cols[j] if j < n else [flip[j - n] if i == j - n else 0 for i in range(m)]
-        for j in basis
-    ]
+    structural = [j for j in basis if j < n]
+    covered = [j - n for j in basis if j >= n]
+    free_rows = sorted(set(range(m)).difference(covered))
+    block = [[cols[j][i] for i in free_rows] for j in structural]
     if status == "infeasible":
-        sol = _solve_integers(basic, [-1 if j >= n else 0 for j in basis])
-        if sol is None:
-            raise OrthantsError("guessed basis is singular")
-        Y, E = sol
+        rhs = [sum(flip[k] * cols[j][k] for k in covered) for j in structural]
+    elif status == "optimal":
+        gamma = lcm(*(v.denominator for v in c))
+        ct = [v.numerator * (gamma // v.denominator) * s for v, s in zip(c, sigma)]
+        primal = _solve_integers(list(zip(*block)), [bt[i] for i in free_rows])
+        rhs = [ct[j] for j in structural]
+    else:
+        raise OrthantsError(f"float simplex ended {status}")
+    dual = _solve_integers(block, rhs)
+    if dual is None or (status == "optimal" and primal is None):
+        raise OrthantsError("guessed basis is singular")
+    Yr, E = dual
+    Y = [0] * m
+    for i, v in zip(free_rows, Yr):
+        Y[i] = v
+    if status == "infeasible":
+        for k in covered:
+            Y[k] = -flip[k] * E
         if any(dot(Y, col) < 0 for col in cols) or dot(Y, bt) >= 0:
             raise OrthantsError("guessed basis gives no Farkas ray")
         return Infeasible(tuple(Fraction(-v, E) for v in Y))
-    if status != "optimal":
-        raise OrthantsError(f"float simplex ended {status}")
-    gamma = lcm(*(v.denominator for v in c))
-    ct = [v.numerator * (gamma // v.denominator) * s for v, s in zip(c, sigma)]
-    primal = _solve_integers(list(zip(*basic)), bt)
-    dual = _solve_integers(basic, [ct[j] if j < n else 0 for j in basis])
-    if primal is None or dual is None:
-        raise OrthantsError("guessed basis is singular")
-    (Z, D), (Y, E) = primal, dual
-    if any(v for j, v in zip(basis, Z) if j >= n):
-        raise OrthantsError("guessed basis keeps an artificial above 0")
-    support = [(j, v) for j, v in zip(basis, Z) if j < n and v]
+    Z, D = primal
+    support = [(j, v) for j, v in zip(structural, Z) if v]
     if any(sum(cols[j][i] * v for j, v in support) != bi * D for i, bi in enumerate(bt)):
         raise OrthantsError("simplex returned an inexact point")
     if any(v < 0 for _, v in support):

@@ -1,6 +1,7 @@
 """The command line as a user runs it: exit codes, stdout JSON, stderr errors."""
 
 import ast
+import hashlib
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import cycle
 
 import pytest
 
@@ -470,3 +472,53 @@ def test_embed_and_realize_accept_the_empty_system(command, monkeypatch, capsys)
     doc = json.loads(out)
     assert doc["target_dim"] == json.loads(square)["target_dim"]
     assert verify_embedding(embedding_from_report(doc))
+
+
+# sha256 over "<name>\n<exit code>\n<stdout>" of every input of digest_inputs(),
+# recorded before the LP proof moved to the structural block; a change that
+# is meant to alter stdout updates these and says why
+STDOUT_DIGESTS = {
+    "is-orthant": "4b4a79a7ea3be037765d76f9a8a1833d2c1af2968dd48761ab02c93d47366426",
+    "rank": "03300ca9a9d2d12bf2b8b6c091e48ff582cf91ff5420c870bbf8305c55353bfe",
+    "realize": "eb085ef927614be22955e0c2c279ef253bb3881312f240b78d5b5ca3e2dd040e",
+    "embed": "389fdde105672c76aa98f0bd889838cb66f8481d8df31baea0b6db4630b81231",
+    "decompose": "10c5d2af7d130c0d121906ae0ab5d9d23487b5f2af73546da7ea0a775000952c",
+}
+DIGEST_ROTATIONS = [("cube", 3, 1), ("cross", 4, 2), FALLBACK_INPUT]
+
+
+def digest_inputs():
+    """(name, text): the gen families for n = 2..5, then three rotated copies."""
+    inputs = [
+        (f"{kind} {n}", polyhedron_to_text(gen(n)))
+        for kind, gen in FAMILIES.items()
+        for n in range(2, 6)
+    ]
+    return inputs + [(f"rot {args}", rotated_text(*args)) for args in DIGEST_ROTATIONS]
+
+
+@pytest.mark.parametrize("command", sorted(STDOUT_DIGESTS))
+def test_exact_stdout_and_exit_codes_match_their_digest(command, monkeypatch, capsys):
+    h = hashlib.sha256()
+    for name, text in digest_inputs():
+        code, out = in_process(monkeypatch, capsys, command, "-", stdin=text)
+        h.update(f"{name}\n{code}\n{out}".encode())
+    assert h.hexdigest() == STDOUT_DIGESTS[command]
+
+
+# ten Cayley rotations: every family at n = 3, 4 and 5, then cube 3 again
+FLOAT_ROTATIONS = [
+    (kind, 3 + seed // 3 % 3, seed) for seed, kind in zip(range(10), cycle(FAMILIES))
+]
+
+
+@pytest.mark.parametrize(
+    "kind, n, seed",
+    [(kind, n, None) for kind in FAMILIES for n in range(1, 6)] + FLOAT_ROTATIONS,
+)
+def test_float_backend_verdicts_match_the_exact_ones(kind, n, seed, monkeypatch, capsys):
+    text = polyhedron_to_text(FAMILIES[kind](n)) if seed is None else rotated_text(kind, n, seed)
+    exact = in_process(monkeypatch, capsys, "is-orthant", "-", stdin=text)
+    floated = in_process(monkeypatch, capsys, "--backend", "float", "is-orthant", "-", stdin=text)
+    assert floated[0] == exact[0]
+    assert json.loads(floated[1])["verdict"] == json.loads(exact[1])["verdict"]

@@ -293,12 +293,13 @@ class TestFloatGuess:
             (GUESS_LP, ("optimal", [1, 6], [1, 1])),
             (NEGATIVE_LP, ("optimal", [1], [1])),
             (GUESS_LP, ("infeasible", [2, 3], [1, 1])),
+            (GUESS_LP, ("infeasible", [1, 6], [1, 1])),
             (GUESS_LP, ("unbounded", [2, 3], [1, 1])),
         ],
         ids=[
             "phase-1-stopped", "singular-basis", "feasible-not-optimal",
             "artificial-above-zero", "negative-primal", "false-infeasible",
-            "false-unbounded",
+            "false-infeasible-with-artificial", "false-unbounded",
         ],
     )
     def test_bad_guess_falls_back_to_bland(self, monkeypatch, problem, guess):
@@ -519,6 +520,76 @@ class TestIntegerProof:
         assert {assert_basis_proves_bland(*problem) for problem in lps} == ends
 
 
+def final_basis(rows, b, c):
+    """The basis where the exact Bland run ends."""
+    tab = lp._Tableau(rows, b, len(c), EXACT)
+    tab.two_phase(c)
+    return tab.basis
+
+
+def sized_solves(monkeypatch):
+    """Record (rows, columns) of every integer solve of the proof."""
+    solve_integers = lp._solve_integers
+    sizes = []
+
+    def sized(rows, rhs):
+        assert all(len(row) == len(rows) for row in rows)
+        sizes.append((len(rows), len(rhs)))
+        return solve_integers(rows, rhs)
+
+    monkeypatch.setattr(lp, "_solve_integers", sized)
+    return sizes
+
+
+class TestStructuralBlock:
+    """The proof solves on the k x k block of the k structural basic columns
+    and the rows that no basic artificial covers."""
+
+    def test_rank_deficient_decide_lp_solves_k_by_k(self, monkeypatch):
+        from orthants import build, generate_cube
+
+        (problem,) = recorded_lps([build(generate_cube(6))])
+        rows, b, c = problem
+        assert (len(rows), len(c)) == (21, 13)
+        _, basis, _ = lp._float_guess(rows, b, c)
+        k = sum(j < len(c) for j in basis)
+        assert 0 < k < len(c)
+        expected = lp._bland_simplex(rows, b, c, EXACT)
+        runs = counted_bland(monkeypatch)
+        sizes = sized_solves(monkeypatch)
+        assert simplex_standard(rows, b, c, EXACT) == expected
+        assert sizes == [(k, k), (k, k)] and not runs
+
+    @pytest.mark.parametrize(
+        "problem, ends",
+        [
+            # A = 0, or A >= 0 with b < 0: no structural column ever enters
+            (([[Fraction(0)] * 2] * 2, [Fraction(0)] * 2, [Fraction(-1), Fraction(0)]), Optimal),
+            (([[Fraction(0)] * 2], [Fraction(1)], [Fraction(0)] * 2), Infeasible),
+            (([[Fraction(1), Fraction(1)]], [Fraction(-1)], [Fraction(0)] * 2), Infeasible),
+        ],
+        ids=["zero-optimal", "zero-infeasible", "negative-infeasible"],
+    )
+    def test_no_structural_column(self, monkeypatch, problem, ends):
+        assert all(j >= len(problem[2]) for j in final_basis(*problem))
+        sizes = sized_solves(monkeypatch)
+        assert assert_basis_proves_bland(*problem) is ends
+        assert set(sizes) == {(0, 0)}
+
+    def test_no_artificial_left(self, monkeypatch):
+        rows, b, c = GUESS_LP
+        assert all(j < len(c) for j in final_basis(rows, b, c))
+        sizes = sized_solves(monkeypatch)
+        assert assert_basis_proves_bland(rows, b, c) is Optimal
+        assert sizes == [(2, 2), (2, 2)]
+
+    def test_artificial_rows_enter_the_farkas_test(self):
+        # the basis {x2, artificial of row 2} fixes y_2 = -1 and y_1 = -1 on
+        # the block, and then y.A_1 = -2 < 0
+        with pytest.raises(OrthantsError, match="Farkas"):
+            lp._prove_basis(*GUESS_LP, "infeasible", [1, 6], [1, 1])
+
+
 def tampered_read_off(monkeypatch, which, position):
     """Make the integer read-off return one numerator raised by 1: in the
     primal solve (which = 0) or the dual solve (which = 1) of the proof."""
@@ -601,3 +672,40 @@ def test_rotated_endgo5_fallbacks_match_the_exact_route(monkeypatch):
     assert 0 < len(runs) <= 8
     monkeypatch.setattr(lp, "_float_guess", no_guess)
     assert outcomes == [decide_positive(system) for system in systems]
+
+
+class TestFloatTableauTolerance:
+    """The float tableau counts |x| <= tol as zero, the rule of Context.sign."""
+
+    CTX = Context("float", tol=0.25)
+
+    def test_the_rule_is_context_sign(self):
+        assert [self.CTX.sign(v) for v in (0.25, -0.25, 0.5, -0.5)] == [0, 0, 1, -1]
+
+    @pytest.mark.parametrize("cost, enters", [(0.25, False), (0.5, True)])
+    def test_reduced_cost(self, cost, enters):
+        tab = lp._Tableau([[1.0]], [1.0], 1, self.CTX)
+        tab.bland([cost, 0.0], 1)
+        assert (tab.basis == [0]) == enters
+
+    @pytest.mark.parametrize("entry, limits", [(0.25, False), (0.5, True)])
+    def test_ratio_test_entry(self, entry, limits):
+        tab = lp._Tableau([[entry]], [1.0], 1, self.CTX)
+        _, enter = tab.bland([1.0, 0.0], 1)
+        assert (enter is None) == limits
+
+    @pytest.mark.parametrize("entry, updated", [(0.25, False), (0.5, True)])
+    def test_pivot_skips_zero_rows(self, entry, updated):
+        tab = lp._Tableau([[1.0], [entry]], [1.0, 1.0], 1, self.CTX)
+        before = list(tab.T[1])
+        tab.pivot(0, 0, [0.0] * 4)
+        assert (tab.T[1] != before) == updated
+
+    @pytest.mark.parametrize("rhs, flip", [(-0.25, 1), (-0.5, -1)])
+    def test_row_flip(self, rhs, flip):
+        assert lp._Tableau([[1.0]], [rhs], 1, self.CTX).flip == [flip]
+
+    @pytest.mark.parametrize("rhs, status", [(0.25, "optimal"), (0.5, "infeasible")])
+    def test_phase_1_value(self, rhs, status):
+        # 0 x = rhs: phase 1 ends at -rhs
+        assert lp._Tableau([[0.0]], [rhs], 1, self.CTX).two_phase([0.0])[0] == status
