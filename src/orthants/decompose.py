@@ -53,17 +53,18 @@ def find_basic_decomposition(P: Polyhedron):
     outcome = lp.decide_positive(B)
     if not outcome.is_positive:
         return None
-    Q, ctx, m = B.Q, B.Q.ctx, P.nfacets
-    full = rank(Q)
+    W, ctx, m = B.W, B.W.ctx, P.nfacets
+    full = rank(W)
     if full == m:
         return Decomposition((tuple(range(m)),), (outcome.witness_t,), full)
     chosen, witnesses = [], []
     covered, union, union_rank = set(), set(), 0
+    rows = lp._lp_rows(B)
     for j in range(m):
         if j in covered:
             continue
         objective = [ctx.one() if i == j else ctx.zero() for i in range(m)]
-        res = lp.simplex_standard(Q.data, B.c, objective, ctx)
+        res = lp.simplex_standard(rows, B.c, objective, ctx)
         if not isinstance(res, lp.Optimal) or ctx.sign(res.x[j]) <= 0:
             raise BrokenInvariant(
                 f"decompose: max t_{j} over the weightings of an orthant system "
@@ -72,7 +73,7 @@ def find_basic_decomposition(P: Polyhedron):
         support = tuple(i for i in range(m) if ctx.sign(res.x[i]) > 0)
         covered.update(support)
         trial = union | set(support)
-        trial_rank = rank(Q.select_columns(sorted(trial)))
+        trial_rank = rank(W.select_columns(sorted(trial)))
         if trial_rank > union_rank:
             chosen.append(support)
             witnesses.append(tuple(res.x[i] for i in support))

@@ -14,6 +14,10 @@ diagonal pairs and 0 off the diagonal.  A strictly positive solution t is
 precisely an orthant realization of the polyhedron; the rank of Q is a
 rigid-motion invariant that stratifies the whole theory.
 
+With a_i = sigma_i v_i, v_i primitive, column i of Q is sigma_i^2 times
+the integer column W_i of the v_ip v_iq.  A positive column scale keeps
+rank, pivots, solvability and signs, so everything exact runs on W.
+
 Row order is fixed once and for all (diagonal pairs by increasing index,
 then off-diagonal pairs lexicographically) so that witnesses, certificates
 and file dumps are byte-stable.
@@ -21,20 +25,37 @@ and file dumps are byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 
 from .context import Context
-from .matrix import Mat, pivot_columns
+from .lp import _IntegerColumns
+from .matrix import Mat, _content, pivot_columns
 from .polyhedra import Polyhedron, require_nondegenerate
 
 
-@dataclass(frozen=True)
 class BangSystem:
-    """Coefficient matrix Q, right-hand side c, and the pair index of rows."""
+    """Q t = c, the pairs (p, q) of its rows, and Q = W diag(scales), Q
+    built on first read.  Exact: W is an integer Mat and the scales are
+    positive Fractions; a Q given instead is scaled to integers by the lcm
+    of each column's denominators.  Float: every scale is 1.
+    """
 
-    pairs: tuple  # (p, q) zero-based with p <= q
-    Q: Mat
-    c: tuple
+    def __init__(self, pairs, Q: Mat | None, c, *, W: Mat | None = None, scales=()):
+        if W is None and Q.ctx.is_exact:
+            A = _IntegerColumns.of(Q.data, Q.cols)
+            W = Mat(tuple(zip(*A.cols)), Q.ctx) if A.cols else Q
+            scales = [Fraction(1, s) for s in A.sigma]
+        elif W is None:
+            W, scales = Q, [Q.ctx.one()] * Q.cols
+        self.pairs, self.c, self._Q = tuple(pairs), tuple(c), Q
+        self.W, self.scales = W, tuple(scales)
+
+    @property
+    def Q(self) -> Mat:
+        if self._Q is None:
+            rows = (tuple(w * s for w, s in zip(row, self.scales)) for row in self.W.data)
+            self._Q = Mat(tuple(rows), self.W.ctx)
+        return self._Q
 
 
 def coordinate_pairs(n: int) -> tuple:
@@ -45,30 +66,32 @@ def coordinate_pairs(n: int) -> tuple:
 
 
 def system_from_normals(normals, ctx: Context) -> BangSystem:
-    """Build Q t = c from a plain list of normal vectors."""
+    """Build Q t = c from a plain list of normal vectors; exact normals are
+    made primitive once, and W holds products of integers only."""
     n = len(normals[0])
     pairs = coordinate_pairs(n)
-    rows = [[a[p] * a[q] for a in normals] for p, q in pairs]
     c = tuple(ctx.one() if p == q else ctx.zero() for p, q in pairs)
-    return BangSystem(pairs, Mat.from_rows(rows, ctx), c)
+    split = [_content(a) if ctx.is_exact else (a, ctx.one()) for a in normals]
+    W = Mat(tuple(tuple(v[p] * v[q] for v, _ in split) for p, q in pairs), ctx)
+    return BangSystem(pairs, None, c, W=W, scales=[s * s for _, s in split])
 
 
 def build(P: Polyhedron) -> BangSystem:
     """The weighting system of a nondegenerate polyhedron; m columns, C(n+1,2) rows."""
     require_nondegenerate(P)
-    return system_from_normals([P.A.row(i) for i in range(P.nfacets)], P.ctx)
+    return system_from_normals(P.A.data, P.ctx)
 
 
 def rank_and_consistency(system: BangSystem) -> tuple:
-    """(rank Q, whether Q t = c is solvable) from one echelon pass on [Q | c].
+    """(rank Q, whether Q t = c is solvable) from one echelon pass on [W | c].
 
     rank Q counts the pivots left of the rhs column, and the system is
     solvable exactly when the rhs column takes no pivot.
     """
-    Q = system.Q
-    aug = Mat(tuple(row + (ci,) for row, ci in zip(Q.data, system.c)), Q.ctx)
+    W = system.W
+    aug = Mat(tuple(row + (ci,) for row, ci in zip(W.data, system.c)), W.ctx)
     pivots = pivot_columns(aug)
-    return sum(p < Q.cols for p in pivots), Q.cols not in pivots
+    return sum(p < W.cols for p in pivots), W.cols not in pivots
 
 
 def poly_rank(P: Polyhedron) -> int:

@@ -5,17 +5,17 @@ The engine is a dense two-phase simplex, pivoting by Bland's rule
 index).  On the exact backend floats choose the basis and exact arithmetic
 proves it (Applegate, Cook, Dash & Espinoza 2007; Gleixner, Steffy &
 Wolter 2016): the simplex first runs on float copies of the data, and only
-its final basis is kept.  A basic artificial column is a unit vector
-e_k, so it touches row k alone: with every column scaled to integers
-once, two fraction-free solves on the k x k block of the k structural
-basic columns give the primal point and the dual vector over a common
-denominator.  The answer is accepted only when they pass the integer
-optimality or Farkas checks, which run on every row and column of the
-LP; Fractions are built only for the answer.  Whenever the float run or
-a check fails, the same LP runs through the exact Bland simplex, which
-terminates in exact arithmetic and is the reference route.  No float
-number reaches an exact answer.  The float backend runs the simplex
-once, in floats.
+its final basis is kept.  Exact data is integer columns over one
+denominator each, and the float copy is their int/int quotients.  A basic
+artificial column is a unit vector e_k, so it touches row k alone: two
+fraction-free solves on the k x k block of the k structural basic columns
+give the primal point and the dual vector over a common denominator.  The
+answer is accepted only when they pass the integer optimality or Farkas
+checks, which run on every row and column of the LP; Fractions are built
+only for the answer.  Whenever the float run or a check fails, the same
+LP runs through the exact Bland simplex, which terminates in exact
+arithmetic and is the reference route.  No float number reaches an exact
+answer.  The float backend runs the simplex once, in floats.
 
 Every outcome carries an exactly checkable object: an optimal point with
 its dual vector, a Farkas ray proving infeasibility, or an improving ray
@@ -31,14 +31,15 @@ nonnegative terms, positive unless yQ = 0, in which case y.c = 0 as well.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Optional
 
 from .context import FLOAT, Context, Scalar
 from .errors import OrthantsError, ShapeMismatch
-from .matrix import Mat, _solve_integers, dot, primitive
+from .matrix import Mat, _numerators, _solve_integers, dot, primitive
 
 _MAX_PIVOTS = 200_000
 
@@ -237,6 +238,37 @@ class _Tableau:
         return [f * (costs[n + k] - z[n + k]) for k, f in enumerate(self.flip)]
 
 
+class _IntegerColumns(Sequence):
+    """The m rows of an exact LP matrix, kept as integer columns over one
+    denominator each: A_ij = cols[j][i] / sigma[j], sigma[j] > 0.  A row
+    is built in Fractions only when indexed, as the exact Bland route does."""
+
+    def __init__(self, cols, sigma, m):
+        self.cols, self.sigma, self.m = cols, sigma, m
+
+    @classmethod
+    def of(cls, A_rows, n):
+        """A_rows, or its n columns each scaled by the lcm of its denominators."""
+        if isinstance(A_rows, cls):
+            return A_rows
+        sigma = [lcm(*(row[j].denominator for row in A_rows)) for j in range(n)]
+        cols = [[row[j].numerator * (s // row[j].denominator) for row in A_rows]
+                for j, s in enumerate(sigma)]
+        return cls(cols, sigma, len(A_rows))
+
+    def __len__(self):
+        return self.m
+
+    def __getitem__(self, i):
+        if not 0 <= i < self.m:
+            raise IndexError(i)
+        return tuple(Fraction(col[i], s) for col, s in zip(self.cols, self.sigma))
+
+    def floats(self):
+        """int/int true divisions: correctly rounded, so float() of the Fractions."""
+        return [[col[i] / s for col, s in zip(self.cols, self.sigma)] for i in range(self.m)]
+
+
 def simplex_standard(A_rows: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
                      c: Sequence[Scalar], ctx: Context):
     """Maximize c.x over {x >= 0 : A x = b}; returns Optimal/Infeasible/Unbounded.
@@ -245,11 +277,12 @@ def simplex_standard(A_rows: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
     every column j, and an Infeasible carries a Farkas ray r with r.A <= 0,
     r.b > 0.  On the exact backend both are proved from the float run's
     basis when it passes the exact checks, and otherwise read off the final
-    tableau of the exact Bland run.
+    tableau of the exact Bland run.  Exact rows may be ``_IntegerColumns``.
     """
     if ctx.is_exact:
+        A = _IntegerColumns.of(A_rows, len(c))
         try:
-            return _prove_basis(A_rows, b, c, *_float_guess(A_rows, b, c))
+            return _prove_basis(A, b, c, *_float_guess(A, b, c))
         except (OverflowError, OrthantsError):
             pass  # the exact Bland run below decides the LP
     return _bland_simplex(A_rows, b, c, ctx)
@@ -291,9 +324,8 @@ def _float_guess(A_rows, b, c):
     Raises OverflowError when an entry is beyond float range and
     OrthantsError at the pivot limit.
     """
-    tab = _Tableau(
-        [[float(v) for v in row] for row in A_rows], [float(v) for v in b], len(c), FLOAT
-    )
+    A = _IntegerColumns.of(A_rows, len(c))
+    tab = _Tableau(A.floats(), [float(v) for v in b], len(c), FLOAT)
     status = tab.two_phase([float(v) for v in c])[0]
     return status, tab.basis, tab.flip
 
@@ -302,9 +334,9 @@ def _prove_basis(A_rows, b, c, status, basis, flip):
     """The exact outcome that a guessed basis proves; raises OrthantsError
     when the guess proves nothing.
 
-    The proof runs on integers: A~ = A diag(sigma), with sigma_j the lcm of
-    column j's denominators, b~ = beta b and c~_j = gamma c_j sigma_j; per
-    column, since a weighting row of Q mixes every facet's denominators.
+    The proof runs on the integer columns A~ = A diag(sigma) of
+    ``_IntegerColumns`` (a weighting LP arrives so, sigma_j the denominator
+    of column j's scale), b~ = beta b and c~_j = gamma c_j sigma_j.
     Column n+k of the basis is the artificial flip[k] e_k, which touches row
     k alone.  So with S the k structural basic columns and R the k rows that
     no basic artificial covers, both solves run on the k x k block A~_RS,
@@ -323,12 +355,9 @@ def _prove_basis(A_rows, b, c, status, basis, flip):
     x_j = sigma_j Z_j / (D beta) is optimal and Y / (E gamma) dual optimal.
     A singular basis whose solutions pass every check proves all the same.
     """
-    m, n = len(A_rows), len(c)
-    sigma = [lcm(*(row[j].denominator for row in A_rows)) for j in range(n)]
-    cols = [
-        [row[j].numerator * (s // row[j].denominator) for row in A_rows]
-        for j, s in enumerate(sigma)
-    ]
+    n = len(c)
+    A = _IntegerColumns.of(A_rows, n)
+    m, cols, sigma = A.m, A.cols, A.sigma
     beta = lcm(*(v.denominator for v in b))
     bt = [v.numerator * (beta // v.denominator) for v in b]
     structural = [j for j in basis if j < n]
@@ -426,6 +455,16 @@ def solve(prob: LpProblem):
 # strict positivity of Q t = c
 
 
+def _lp_rows(system):
+    """Q as LP rows: Q's own on the float backend; on the exact one integer
+    columns, p_j W_j over q_j for the scale p_j / q_j, with no Fraction."""
+    if not system.W.ctx.is_exact:
+        return system.Q.data
+    W, scales = system.W, system.scales
+    cols = [[w * s.numerator for w in col] for col, s in zip(zip(*W.data), scales)]
+    return _IntegerColumns(cols, [s.denominator for s in scales], W.rows)
+
+
 def decide_positive(system) -> PositivityOutcome:
     """Decide whether Q t = c admits a strictly positive solution.
 
@@ -433,15 +472,21 @@ def decide_positive(system) -> PositivityOutcome:
     Substituting t = eps . 1 + s and eps = 1 - w turns it into the standard
     form  max -w : Q s - (Q 1) w = c - Q 1, (s, w) >= 0.  The optimum eps*
     is positive exactly when a positive solution exists; the dual vector at
-    the optimum is the refutation certificate otherwise.
+    the optimum is the refutation certificate otherwise.  Exact [Q | -Q 1]
+    stays integer columns (-Q 1 over L, the lcm of Q's column denominators),
+    whose floats are the Fraction LP's.
     """
-    Q: Mat = system.Q
-    c = list(system.c)
-    ctx = Q.ctx
-    m = Q.cols
-    q1 = [sum(row) for row in Q.data]
-    A_rows = [list(Q.row(i)) + [-q1[i]] for i in range(Q.rows)]
-    b = [c[i] - q1[i] for i in range(Q.rows)]
+    ctx, c, m = system.W.ctx, system.c, system.W.cols
+    A = _lp_rows(system)
+    if ctx.is_exact:
+        L = lcm(*A.sigma)
+        q1 = [sum(col[i] * (L // s) for col, s in zip(A.cols, A.sigma)) for i in range(A.m)]
+        A_rows = _IntegerColumns(A.cols + [[-v for v in q1]], A.sigma + [L], A.m)
+        b = [ci - Fraction(v, L) for ci, v in zip(c, q1)]
+    else:
+        q1 = [sum(row) for row in A]
+        A_rows = [list(row) + [-v] for row, v in zip(A, q1)]
+        b = [ci - v for ci, v in zip(c, q1)]
     obj = [ctx.zero()] * m + [-ctx.one()]
 
     res = simplex_standard(A_rows, b, obj, ctx)
@@ -467,26 +512,29 @@ def decide_positive(system) -> PositivityOutcome:
 
 
 def verify_outcome(system, outcome: PositivityOutcome) -> bool:
-    """Re-check an outcome by direct arithmetic, trusting nothing from the solver."""
-    Q: Mat = system.Q
-    c = list(system.c)
-    ctx = Q.ctx
+    """Re-check an outcome by direct arithmetic, trusting nothing from the solver.
+
+    The checks run on W: with t_j s_j = U_j / D (s the scales) and c = C / g
+    over integers, Q t = c exactly when g W U = C D; as s_j > 0, y.Q_j has
+    the sign of y.W_j, which scaling y to integers keeps.
+    """
+    W, ctx = system.W, system.W.ctx
+    (C,), g = _numerators([system.c], ctx)
     if outcome.verdict == Verdict.POSITIVE:
         t = outcome.witness_t
-        if t is None or len(t) != Q.cols:
+        if t is None or len(t) != W.cols or any(ctx.sign(v) <= 0 for v in t):
             return False
-        if any(ctx.sign(v) <= 0 for v in t):
-            return False
-        residual = [dot(Q.row(i), t) - c[i] for i in range(Q.rows)]
-        return all(ctx.is_zero(r) for r in residual)
+        (U,), D = _numerators([[v * s for v, s in zip(t, system.scales)]], ctx)
+        return all(ctx.is_zero(g * dot(row, U) - ci * D) for row, ci in zip(W.data, C))
     y = outcome.certificate_y
-    if y is None or len(y) != Q.rows:
+    if y is None or len(y) != W.rows:
         return False
-    yq = [dot(y, Q.column(j)) for j in range(Q.cols)]
-    yc = dot(y, c)
-    if any(ctx.sign(v) < 0 for v in yq) or ctx.sign(yc) > 0:
+    (Y,), _ = _numerators([y], ctx)
+    yw = [dot(Y, W.column(j)) for j in range(W.cols)]
+    yc = dot(Y, C)
+    if any(ctx.sign(v) < 0 for v in yw) or ctx.sign(yc) > 0:
         return False
-    return any(ctx.sign(v) > 0 for v in yq) or ctx.sign(yc) < 0
+    return any(ctx.sign(v) > 0 for v in yw) or ctx.sign(yc) < 0
 
 
 def _certificate(vec, ctx: Context) -> tuple:

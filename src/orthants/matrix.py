@@ -92,16 +92,28 @@ def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     return sum(a * b for a, b in zip(u, v))
 
 
-def primitive(vec: Sequence[Fraction]) -> tuple:
-    """The integer multiple of a rational vector with content 1.
-
-    Scales by the lcm of the denominators, then divides by the gcd of the
-    numerators; the zero vector stays zero.
-    """
+def _content(vec: Sequence[Fraction]) -> tuple:
+    """(v, s) with vec = s v, v an integer vector with content 1 and s > 0:
+    scale by the lcm of the denominators, divide by the gcd of the
+    numerators.  The zero vector gives (0, 1)."""
     den = lcm(*(x.denominator for x in vec))
     ints = [x.numerator * (den // x.denominator) for x in vec]
     g = gcd(*ints) or 1
-    return tuple(Fraction(x // g) for x in ints)
+    return [x // g for x in ints], Fraction(g, den)
+
+
+def primitive(vec: Sequence[Fraction]) -> tuple:
+    """The integer multiple of a rational vector with content 1; zero stays zero."""
+    return tuple(map(Fraction, _content(vec)[0]))
+
+
+def _numerators(vectors, ctx: Context) -> tuple:
+    """(numerators, d): exact vectors as integers over their least common
+    denominator d, as ``_echelon`` scales; float vectors as they are, over 1."""
+    if not ctx.is_exact:
+        return [list(v) for v in vectors], 1
+    d = lcm(*(x.denominator for v in vectors for x in v))
+    return [[x.numerator * (d // x.denominator) for x in v] for v in vectors], d
 
 
 def normalize(vec: Sequence[Scalar], ctx: Context) -> tuple:

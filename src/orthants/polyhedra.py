@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .context import Context, Scalar
 from .errors import (
@@ -80,13 +80,6 @@ class Polyhedron:
             ctx.sign(dot(self.A.row(i), point) - self.b[i]) >= 0
             for i in range(self.nfacets)
         )
-
-
-class _System(NamedTuple):
-    """Q t = c, the two fields that lp.decide_positive and lp.verify_outcome read."""
-
-    Q: Mat
-    c: tuple
 
 
 @dataclass(frozen=True)
@@ -291,7 +284,8 @@ def _strict_multiplier(P: Polyhedron, u) -> lp.PositivityOutcome:
     """u = A^T lambda with lambda > 0 (Schrijver 1986, sec. 7.8), re-checked.
     Positive carries lambda, NotPositive a v with A v >= 0 and u.v <= 0, not
     both zero; never Inconsistent, as A has full column rank (callers check)."""
-    system = _System(P.A.transpose(), tuple(u))
+    from .frames import BangSystem  # frames imports this module
+    system = BangSystem((), P.A.transpose(), tuple(u))
     outcome = lp.decide_positive(system)
     if outcome.verdict == lp.Verdict.INCONSISTENT or not lp.verify_outcome(system, outcome):
         raise BrokenInvariant("a multiplier LP u = A^T lambda, lambda > 0 failed its re-check")

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import lcm, sqrt
+from math import sqrt
 
 from .context import Context
 from .errors import (
@@ -48,7 +48,7 @@ from .errors import (
     RecessionNotStrictlyPositive,
     UnboundedPolyhedron,
 )
-from .matrix import Mat, _ratio, _tol_key, dot, solve_columns
+from .matrix import Mat, _numerators, _ratio, _tol_key, dot, solve_columns
 from .hedgehogs import canonical_needle
 from .polyhedra import Polyhedron, _strict_multiplier, boundedness, require_nondegenerate
 from .frames import build, system_from_normals
@@ -133,15 +133,6 @@ def verify_embedding(E: Embedding, sample_points=()) -> bool:
 
 # ---------------------------------------------------------------------------
 # padding with auxiliary halfspaces
-
-
-def _numerators(vectors, ctx: Context) -> tuple:
-    """(numerators, d): exact vectors as integers over their least common
-    denominator d, as ``_echelon`` scales; float vectors as they are, over 1."""
-    if not ctx.is_exact:
-        return [list(v) for v in vectors], 1
-    d = lcm(*(x.denominator for v in vectors for x in v))
-    return [[x.numerator * (d // x.denominator) for x in v] for v in vectors], d
 
 
 def _pad_and_embed(P: Polyhedron, aux_normals, generators, y=None) -> Embedding:

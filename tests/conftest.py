@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction
 
-from orthants import Mat, Polyhedron
+import pytest
+
+from orthants import Mat, Polyhedron, decide_positive, lp
 from orthants.context import EXACT
 from orthants.matrix import solve_columns
 
@@ -110,3 +112,56 @@ def shuffled(P, rng):
     order = list(range(P.nfacets))
     rng.shuffle(order)
     return Polyhedron.from_rows([P.A.row(i) for i in order], [P.b[i] for i in order], EXACT)
+
+
+def recorded_lps(systems):
+    """The standard-form LPs (A_rows, b, c) that decide_positive solves."""
+    lps = []
+    solve_lp = lp.simplex_standard
+
+    def record(A_rows, b, c, ctx):
+        lps.append((A_rows, b, c))
+        return solve_lp(A_rows, b, c, ctx)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp, "simplex_standard", record)
+        for system in systems:
+            decide_positive(system)
+    return lps
+
+
+def weighting_normal_sets():
+    """(name, normals) covered by the integer-form tests of the weighting
+    system: gen cube, cross and endgo for n = 1-6 (raw and canonical rows),
+    20 Cayley rotations, 200 seeded random rational sets, and rows with
+    entries of 10^2200 and 10^-2200, beyond float range once squared."""
+    from orthants import generate_cross_polytope, generate_cube, generate_max_rank_orthant
+    from orthants.hedgehogs import reduce
+
+    def rows(P):
+        return [P.A.row(i) for i in range(P.nfacets)]
+
+    families = [generate_cube, generate_cross_polytope, generate_max_rank_orthant]
+    sets = []
+    for gen in families:
+        for n in range(1, 7):
+            P = gen(n)
+            sets.append((f"{gen.__name__} {n}", rows(P)))
+            sets.append((f"{gen.__name__} {n} canonical", rows(reduce(P)[1])))
+    for seed in range(20):
+        P = families[seed % 3](3 + seed % 3)
+        R = rational_rotation(random.Random(seed), P.dim)
+        sets.append((f"rotation {seed}", [R.matvec(a) for a in rows(P)]))
+    rng = random.Random(2200)
+    for k in range(200):
+        n = rng.randint(1, 4)
+        m, normals = rng.randint(1, 7), []
+        while len(normals) < m:
+            v = [rand_frac(rng) for _ in range(n)]
+            if any(v):
+                normals.append(v)
+        sets.append((f"random {k}", normals))
+    huge, tiny = Fraction(10**2200), Fraction(1, 10**2200)
+    sets.append(("huge", [[huge, 0], [0, 1], [-1, -1]]))
+    sets.append(("tiny", [[tiny, 1], [1, 0], [-1, -1]]))
+    return sets

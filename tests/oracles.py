@@ -6,7 +6,8 @@ check: plain rational row reduction for ranks, solutions and kernels, the
 split tree of a positive weighting for basic decompositions, the
 permutation expansion for determinants, Sylvester's principal minors for
 semidefiniteness, the Fraction definition of the canonical rows of a
-hedgehog, and Fourier-Motzkin
+hedgehog, the weighting matrix Q and the re-check of a positivity
+outcome by their Fraction definitions, and Fourier-Motzkin
 elimination for three questions: does Q t = c have a strictly positive
 solution (after Gaussian substitution), does A x > b have a solution, and
 what is the minimum of f.x over A x >= b.
@@ -149,6 +150,33 @@ def strictly_positive_solvable(q_rows, c):
         strict_rows.append((coeffs, const))
 
     return all(const > 0 for _, const, _ in _eliminate(strict_rows, len(free_cols)))
+
+
+def weighting_matrix(normals):
+    """Q of the weighting system by its Fraction definition: row (p, q),
+    diagonal pairs first and then p < q lexicographically, holds a_p a_q
+    in the column of each normal a."""
+    n = len(normals[0])
+    pairs = [(p, p) for p in range(n)] + [(p, q) for p in range(n) for q in range(p + 1, n)]
+    return [[Fraction(a[p]) * Fraction(a[q]) for a in normals] for p, q in pairs]
+
+
+def verify_positivity(q_rows, c, verdict, t, y):
+    """The Fraction re-check of a positivity outcome: a Positive witness t
+    is strictly positive and solves Q t = c exactly; any other verdict's
+    certificate y has y.Q_j >= 0 for every column j and y.c <= 0, not all
+    of them zero."""
+    if verdict == "Positive":
+        if t is None or len(t) != len(q_rows[0]):
+            return False
+        t = [Fraction(x) for x in t]
+        return all(x > 0 for x in t) and all(_dot(row, t) == b for row, b in zip(q_rows, c))
+    if y is None or len(y) != len(q_rows):
+        return False
+    y = [Fraction(x) for x in y]
+    yq = [_dot(y, col) for col in zip(*q_rows)]
+    yc = _dot(y, c)
+    return all(v >= 0 for v in yq) and yc <= 0 and (any(v > 0 for v in yq) or yc < 0)
 
 
 def split_walk(q_rows, c, t):

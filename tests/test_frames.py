@@ -1,5 +1,9 @@
+import io
 import random
+import sys
 from fractions import Fraction
+
+import pytest
 
 from orthants import (
     Mat,
@@ -15,8 +19,10 @@ from orthants import (
 )
 from orthants.context import EXACT, FLOAT
 from orthants.frames import BangSystem, coordinate_pairs, rank_and_consistency, system_from_normals
-from oracles import rref_rank, solve_any
-from conftest import random_needles_2d, rational_rotation
+from orthants import cli, lp
+from orthants.fileformats import polyhedron_to_text
+from oracles import rref_rank, solve_any, weighting_matrix
+from conftest import random_needles_2d, rational_rotation, recorded_lps, weighting_normal_sets
 
 
 def poly_from_normals(normals, ctx=EXACT):
@@ -213,3 +219,65 @@ class TestCrossPolytope:
             out = decide_positive(B)
             assert out.is_positive
             assert sum(out.witness_t) == 1
+
+
+def float_bits(value):
+    """float(value) as its hex string, or "overflow" beyond float range."""
+    try:
+        return float(value).hex()
+    except OverflowError:
+        return "overflow"
+
+
+class TestIntegerForm:
+    """The exact system keeps Q as integer columns W with one positive scale
+    each; W diag(scales) must be Q's Fraction definition entry for entry,
+    and the decision LP's float entries float() of its Fraction entries."""
+
+    def test_columns_times_scales_is_the_fraction_definition(self):
+        for name, normals in weighting_normal_sets():
+            B = system_from_normals(normals, EXACT)
+            expected = weighting_matrix(normals)
+            assert all(type(w) is int for row in B.W.data for w in row), name
+            assert all(type(s) is Fraction and s > 0 for s in B.scales), name
+            assert [[w * s for w, s in zip(row, B.scales)] for row in B.W.data] == expected, name
+            assert [list(row) for row in B.Q.data] == expected, name
+
+    def test_float_lp_entries_are_float_of_the_fractions(self):
+        # the decision LP is [Q | -Q 1] with right-hand side c - Q 1
+        sets = weighting_normal_sets()
+        lps = recorded_lps([system_from_normals(normals, EXACT) for _, normals in sets])
+        overflows = 0
+        for (name, normals), (A_rows, b, c) in zip(sets, lps, strict=True):
+            Q = weighting_matrix(normals)
+            pairs = coordinate_pairs(len(normals[0]))
+            assert list(b) == [int(p == q) - sum(row) for (p, q), row in zip(pairs, Q)], name
+            expected = [[float_bits(x) for x in row + [-sum(row)]] for row in Q]
+            A = lp._IntegerColumns.of(A_rows, len(c))
+            if any("overflow" in row for row in expected):
+                overflows += 1
+                with pytest.raises(OverflowError):
+                    A.floats()
+            else:
+                assert [[v.hex() for v in row] for row in A.floats()] == expected, name
+        assert overflows == 1  # the rows with entries of 10^2200
+
+    def test_exact_commands_build_no_fraction_q(self, monkeypatch, capsys):
+        # decisions, ranks, decompositions and embeddings run on W; only
+        # --dump-bang reads Q
+        read = BangSystem.Q.fget
+        built = []
+        monkeypatch.setattr(
+            BangSystem, "Q", property(lambda B: built.append(B._Q is None) or read(B))
+        )
+        commands = ["is-orthant", "rank", "classify2d", "decompose", "embed", "realize"]
+        for gen in (generate_cube, generate_cross_polytope, generate_max_rank_orthant):
+            for n in (2, 3):
+                text = polyhedron_to_text(gen(n))
+                for command in commands:
+                    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+                    assert cli.main([command, "-"]) in (0, 2)
+                assert not any(built), (gen.__name__, n)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert cli.main(["--dump-bang", "is-orthant", "-"]) == 0 and any(built)
+        capsys.readouterr()

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,8 @@ from orthants.errors import OrthantsError
 from orthants.frames import BangSystem, coordinate_pairs, system_from_normals
 from orthants.lp import simplex_standard
 from orthants.matrix import dot
-from oracles import strictly_positive_solvable
+from oracles import strictly_positive_solvable, verify_positivity
+from conftest import recorded_lps, weighting_normal_sets
 
 
 def bang_from_matrix(rows, c, ctx=EXACT):
@@ -416,24 +418,58 @@ class TestAgainstOracle:
             assert decide_positive(mapped).verdict == decide_positive(system).verdict
 
 
+def tampered(outcome):
+    """outcome, then copies with one witness coordinate moved by +-1/den or
+    set to 0, with one certificate entry negated, and with a vector one
+    entry too short or too long."""
+    yield outcome
+    for field in ("witness_t", "certificate_y"):
+        vec = getattr(outcome, field)
+        if vec is None:
+            continue
+        vec = [Fraction(v) for v in vec]
+        for j, v in enumerate(vec):
+            if field == "witness_t":
+                changes = (v + Fraction(1, v.denominator), v - Fraction(1, v.denominator), 0)
+            else:
+                changes = (-v,)
+            for w in changes:
+                yield replace(outcome, **{field: tuple(vec[:j] + [w] + vec[j + 1:])})
+        yield replace(outcome, **{field: tuple(vec[:-1])})
+        yield replace(outcome, **{field: tuple(vec + [Fraction(1)])})
+
+
+class TestIntegerRecheck:
+    """verify_outcome re-checks in integers on W; it must accept and reject
+    exactly what the Fraction re-check on Q does."""
+
+    def assert_agrees(self, systems):
+        verdicts = {True: 0, False: 0}
+        for system in systems:
+            q_rows = [list(row) for row in system.Q.data]
+            outcomes = list(tampered(decide_positive(system)))
+            assert verify_outcome(system, outcomes[0])
+            for out in outcomes:
+                expected = verify_positivity(
+                    q_rows, list(system.c), out.verdict, out.witness_t, out.certificate_y
+                )
+                assert verify_outcome(system, out) == expected, out
+                verdicts[expected] += 1
+        return verdicts
+
+    def test_weighting_systems(self):
+        systems = [system_from_normals(normals, EXACT) for _, normals in weighting_normal_sets()]
+        verdicts = self.assert_agrees(systems)
+        assert verdicts[True] > 250 and verdicts[False] > 2500
+
+    def test_random_bangs(self):
+        rng = random.Random(2022)
+        verdicts = self.assert_agrees([random_bang(rng) for _ in range(200)])
+        assert verdicts[True] > 200 and verdicts[False] > 1000
+
+
 # ---------------------------------------------------------------------------
 # the integer proof of a basis against the exact Bland route
-
-
-def recorded_lps(systems):
-    """The standard-form LPs (A_rows, b, c) that decide_positive solves."""
-    lps = []
-    solve_lp = lp.simplex_standard
-
-    def record(A_rows, b, c, ctx):
-        lps.append((A_rows, b, c))
-        return solve_lp(A_rows, b, c, ctx)
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(lp, "simplex_standard", record)
-        for system in systems:
-            decide_positive(system)
-    return lps
 
 
 def coprime_lp(rng):
