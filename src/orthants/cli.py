@@ -31,7 +31,7 @@ import time
 
 from .context import Context, EXACT
 from .errors import OrthantsError, ParseError
-from .frames import build, rank_and_consistency, system_from_normals
+from .frames import build, rank_and_consistency, system_from_primitive
 from .hedgehogs import reduce as reduce_hedgehog
 from .planar import classify_2d
 from .simplices import SimplexClass, classify_simplex, embed_simplex
@@ -80,7 +80,7 @@ def _float15(x) -> str:
 def _cmd_is_orthant(args, ctx):
     P = ff.polyhedron_from_text(_read(args.file), ctx)
     _, canonical = reduce_hedgehog(P)
-    system = system_from_normals(canonical.A.data, ctx)
+    system = system_from_primitive(canonical.primitive_rows, ctx)
     outcome = lp.decide_positive(system)
     if not lp.verify_outcome(system, outcome):
         raise OrthantsError("solver outcome failed exact re-verification")
@@ -128,7 +128,7 @@ def _cmd_classify2d(args, ctx):
     P = ff.polyhedron_from_text(_read(args.file), ctx)
     h, canonical = reduce_hedgehog(P)
     result = classify_2d(h)
-    system = system_from_normals(canonical.A.data, ctx)
+    system = system_from_primitive(canonical.primitive_rows, ctx)
     outcome = lp.decide_positive(system)
     if result.is_orthant != outcome.is_positive:
         raise OrthantsError(

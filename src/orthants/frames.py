@@ -14,9 +14,10 @@ diagonal pairs and 0 off the diagonal.  A strictly positive solution t is
 precisely an orthant realization of the polyhedron; the rank of Q is a
 rigid-motion invariant that stratifies the whole theory.
 
-With a_i = sigma_i v_i, v_i primitive, column i of Q is sigma_i^2 times
-the integer column W_i of the v_ip v_iq.  A positive column scale keeps
-rank, pivots, solvability and signs, so everything exact runs on W.
+With a_i = sigma_i v_i, v_i primitive (read from ``primitive_rows``, not
+made here), column i of Q is sigma_i^2 times the integer column W_i of the
+v_ip v_iq.  A positive column scale keeps rank, pivots, solvability and
+signs, so everything exact runs on W.
 
 Row order is fixed once and for all (diagonal pairs by increasing index,
 then off-diagonal pairs lexicographically) so that witnesses, certificates
@@ -29,7 +30,7 @@ from fractions import Fraction
 
 from .context import Context
 from .lp import _IntegerColumns
-from .matrix import Mat, _content, pivot_columns
+from .matrix import Mat, _primitive_rows, pivot_columns
 from .polyhedra import Polyhedron, require_nondegenerate
 
 
@@ -65,21 +66,23 @@ def coordinate_pairs(n: int) -> tuple:
     return tuple(diag + off)
 
 
-def system_from_normals(normals, ctx: Context) -> BangSystem:
-    """Build Q t = c from a plain list of normal vectors; exact normals are
-    made primitive once, and W holds products of integers only."""
-    n = len(normals[0])
-    pairs = coordinate_pairs(n)
+def system_from_primitive(rows, ctx: Context) -> BangSystem:
+    """Q t = c for normals sigma_i v_i given as rows (v_i, sigma_i): W = (v_ip v_iq)."""
+    pairs = coordinate_pairs(len(rows[0][0]))
     c = tuple(ctx.one() if p == q else ctx.zero() for p, q in pairs)
-    split = [_content(a) if ctx.is_exact else (a, ctx.one()) for a in normals]
-    W = Mat(tuple(tuple(v[p] * v[q] for v, _ in split) for p, q in pairs), ctx)
-    return BangSystem(pairs, None, c, W=W, scales=[s * s for _, s in split])
+    W = Mat(tuple(tuple(v[p] * v[q] for v, _ in rows) for p, q in pairs), ctx)
+    return BangSystem(pairs, None, c, W=W, scales=[s * s for _, s in rows])
+
+
+def system_from_normals(normals, ctx: Context) -> BangSystem:
+    """Q t = c from a plain list of normal vectors."""
+    return system_from_primitive(_primitive_rows(normals, ctx), ctx)
 
 
 def build(P: Polyhedron) -> BangSystem:
     """The weighting system of a nondegenerate polyhedron; m columns, C(n+1,2) rows."""
     require_nondegenerate(P)
-    return system_from_normals(P.A.data, P.ctx)
+    return system_from_primitive(P.primitive_rows, P.ctx)
 
 
 def rank_and_consistency(system: BangSystem) -> tuple:

@@ -5,13 +5,13 @@ duplicated directions have the same orthantness verdict, so the object
 that actually matters is the set of facet-normal directions modulo sign:
 the hedgehog, drawn as needles on the upper half-sphere.
 
-Exact backend storage never takes square roots: a needle is kept as its
-primitive integer representative (content 1, last nonzero coordinate
-positive) together with its squared norm, and every angular comparison is
-a sign test on inner products.  Needles stay in the input's coordinates
-and in the order of their first occurrence: the weighting system is
-invariant under rigid motions, and equality of hedgehogs is decided on
-normalized Gram matrices, so no frame needs to be chosen.
+Exact backend storage never takes square roots: a needle is a row's
+primitive integer vector (``Polyhedron.primitive_rows``), only sign-fixed
+here so that its last nonzero coordinate is positive, and every angular
+comparison is a sign test on inner products.  Needles stay in the input's
+coordinates and in the order of their first occurrence: the weighting
+system is invariant under rigid motions, and equality of hedgehogs is
+decided on normalized Gram matrices, so no frame needs to be chosen.
 
 The canonical polyhedron of a hedgehog has all offsets equal to -1.  Its
 rows are scaled so that each constraint is tight at a point strictly
@@ -32,8 +32,8 @@ from .errors import (
     DimensionMismatch,
     TooManyNeedles,
 )
-from .matrix import dot, normalize
-from .polyhedra import Polyhedron, is_nondegenerate
+from .matrix import Mat, _primitive_rows, dot, normalize, rank
+from .polyhedra import Polyhedron
 
 _NEEDLE_GUARD = 9
 
@@ -55,32 +55,25 @@ class Hedgehog:
 # needle arithmetic
 
 
-def _sign_fix(v, ctx):
-    """Flip so the last coordinate that is nonzero becomes positive."""
+def _needle(v, ctx):
+    """Row v of ``_primitive_rows`` with its last nonzero entry > 0; float: unit."""
     for x in reversed(v):
         s = ctx.sign(x)
         if s != 0:
-            return tuple(v) if s > 0 else tuple(-y for y in v)
+            v = tuple(v) if s > 0 else tuple(-y for y in v)
+            return v if ctx.is_exact else normalize(v, ctx)
     raise ValueError("zero needle")
 
 
-def canonical_needle(v, ctx):
-    """Sign-fixed primitive (exact) or unit (float) representative of a direction."""
-    return normalize(_sign_fix([ctx.coerce(x) for x in v], ctx), ctx)
-
-
-def _proportional(u, v, ctx) -> bool:
+def _distinct(needles, ctx) -> tuple:
+    """Needles less later duplicates: equal exact ones, float |u.w| within tol of 1."""
     if ctx.is_exact:
-        return u == v  # canonical representatives are unique
-    return abs(abs(dot(u, v)) - 1.0) <= ctx.tol
-
-
-def _dedup(needles, ctx):
+        return tuple(dict.fromkeys(needles))
     out = []
     for v in needles:
-        if not any(_proportional(v, w, ctx) for w in out):
+        if not any(abs(abs(dot(v, w)) - 1.0) <= ctx.tol for w in out):
             out.append(v)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +102,13 @@ def _near_unit_scales(G):
     the integer test still runs, and a failure is a broken invariant.
     """
     m = len(G)
-    worst = Fraction(0)
+    num, den = 0, 1  # max cos^2 = G_ij^2 / (G_ii G_jj) over acute pairs
     for i in range(m):
         for j in range(i + 1, m):
-            if G[i][j] > 0:
-                worst = max(worst, Fraction(G[i][j] * G[i][j], G[i][i] * G[j][j]))
-    spread = 1 - worst  # strictly positive: needles deduplicated
-    k = 1 << 10
-    while 16 > k * spread:
+            if G[i][j] > 0 and G[i][j] * G[i][j] * den > num * G[i][i] * G[j][j]:
+                num, den = G[i][j] * G[i][j], G[i][i] * G[j][j]
+    k = 1 << 10  # den > num: needles deduplicated
+    while 16 * den > k * (den - num):
         k <<= 1
     s = [isqrt(G[i][i] * k * k) for i in range(m)]
     if not _tangent_minimal(G, s):
@@ -130,39 +122,39 @@ def canonical_polyhedron(h: Hedgehog) -> Polyhedron:
     Exact needles are primitive integer vectors v_i with integer Gram
     matrix G.  They are kept unscaled when the integer test
     G_ij s_i < G_ii s_j holds with every s_i = 1; otherwise row i is
-    v_i k / s_i for the scales of ``_near_unit_scales``, and the Fraction
-    rows are built only for that k.  Float needles are unit vectors and
-    already tangent to the unit sphere.
+    v_i k / s_i for the scales of ``_near_unit_scales``.  Either way the
+    polyhedron keeps its rows as (v_i, k / s_i), so none is taken apart
+    again.  Float needles are unit vectors, tangent to the unit sphere.
     """
     ctx = h.ctx
-    rows = list(h.needles)
+    scales = [ctx.one()] * h.count
     if ctx.is_exact:
-        ints = [[x.numerator for x in v] for v in rows]
-        G = [[dot(u, v) for v in ints] for u in ints]
-        if not _tangent_minimal(G, [1] * len(G)):
+        G = [[dot(u, v) for v in h.needles] for u in h.needles]
+        if not _tangent_minimal(G, [1] * h.count):
             k, s = _near_unit_scales(G)
-            rows = [tuple(x * Fraction(k, si) for x in v) for v, si in zip(rows, s)]
-    minus_one = -ctx.one()
-    return Polyhedron.from_rows(rows, [minus_one] * len(rows), ctx)
+            scales = [Fraction(k, si) for si in s]
+    rows = [v if f == 1 else [x * f for x in v] for v, f in zip(h.needles, scales)]
+    return Polyhedron.from_rows(rows, [-ctx.one()] * h.count, ctx, zip(h.needles, scales))
 
 
 def reduce(P: Polyhedron):
     """Canonical (hedgehog, representative polyhedron) of a nondegenerate system."""
-    if not is_nondegenerate(P):
+    ctx = P.ctx
+    h = Hedgehog(P.dim, _distinct([_needle(v, ctx) for v, _ in P.primitive_rows], ctx), ctx)
+    if rank(Mat(h.needles, ctx) if ctx.is_exact else P.A) != P.dim:
         raise DegeneratePolyhedron("cannot reduce a degenerate system")
-    h = from_needles([P.A.row(i) for i in range(P.nfacets)], P.dim, P.ctx)
     return h, canonical_polyhedron(h)
 
 
 def from_needles(directions, dim: int, ctx: Context) -> Hedgehog:
     """Hedgehog from raw direction vectors, in the caller's frame and order.
 
-    Each direction is sign-fixed and made primitive (exact) or unit
-    (float), and later duplicates modulo sign are dropped; nothing is
+    Each direction is made primitive (``matrix._primitive_rows``) or unit
+    and sign-fixed, and later duplicates modulo sign are dropped; nothing is
     rotated, so hedgehogs built this way stay comparable coordinatewise.
     """
-    needles = _dedup([canonical_needle(v, ctx) for v in directions], ctx)
-    return Hedgehog(dim, tuple(needles), ctx)
+    rows = _primitive_rows([[ctx.coerce(x) for x in v] for v in directions], ctx)
+    return Hedgehog(dim, _distinct([_needle(v, ctx) for v, _ in rows], ctx), ctx)
 
 
 def union(h1: Hedgehog, h2: Hedgehog) -> Hedgehog:

@@ -99,7 +99,15 @@ def _content(vec: Sequence[Fraction]) -> tuple:
     den = lcm(*(x.denominator for x in vec))
     ints = [x.numerator * (den // x.denominator) for x in vec]
     g = gcd(*ints) or 1
-    return [x // g for x in ints], Fraction(g, den)
+    return tuple(x // g for x in ints), Fraction(g, den)
+
+
+def _primitive_rows(rows, ctx: Context) -> tuple:
+    """(v_i, sigma_i), row_i = sigma_i v_i, sigma_i > 0: where exact rows are
+    made primitive (``_content``); a float row is its own v_i, scale 1.0."""
+    if ctx.is_exact:
+        return tuple(map(_content, rows))
+    return tuple((tuple(row), ctx.one()) for row in rows)
 
 
 def primitive(vec: Sequence[Fraction]) -> tuple:
@@ -137,8 +145,9 @@ def _echelon(M: Mat, rhs: Sequence[Sequence[Scalar]] = (), width: Optional[int] 
     Every pivot column is cleared above and below its pivot, and the k-th
     pivot sits in row k; rows are not normalised.  On the exact backend
     each row is first scaled to integers (``scale`` is the product of the
-    row scalings) and the reduction is fraction-free: every division is
-    exact, and at the end every pivot entry is the same integer.  The pivot
+    row scalings; a row of ints as it is) and the reduction is
+    fraction-free: every division is exact, and at the end every pivot
+    entry is the same integer.  The pivot
     is the first nonzero entry of its column.  On the float backend it is
     the entry of largest magnitude, and magnitudes at or below ``tol``
     count as zero.
@@ -153,6 +162,9 @@ def _echelon(M: Mat, rhs: Sequence[Sequence[Scalar]] = (), width: Optional[int] 
     if exact:
         a = []
         for row in rows:
+            if all(type(x) is int for x in row):
+                a.append(list(row))
+                continue
             s = lcm(*(x.denominator for x in row))
             scale *= s
             a.append([x.numerator * (s // x.denominator) for x in row])

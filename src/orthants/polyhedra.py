@@ -5,6 +5,11 @@ Nondegeneracy (full column rank of A, equivalently: the set contains no
 line) is the standing assumption of every decision procedure here, since a
 degenerate set can never sit inside a nonnegative orthant.
 
+Rows are made primitive once, in the cached view ``primitive_rows``:
+a_i = sigma_i v_i, sigma_i > 0, v_i a primitive integer vector (exact).
+What depends on a row only up to a positive factor reads it: the LPs and
+sign tests here (as v_i x >= beta_i = b_i / sigma_i), hedgehogs and frames.
+
 Emptiness and full-dimensionality are detected with one interior-point
 linear program instead of any vertex enumeration.  Redundancy removal
 shoots one ray per inequality from that interior point and runs an n-row
@@ -24,6 +29,7 @@ the benchmark tracer wraps them by name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -36,7 +42,8 @@ from .errors import (
     EmptyPolyhedron,
     ShapeMismatch,
 )
-from .matrix import Mat, _tol_key, dot, kernel_basis, normalize, rank, solve_linear
+from .matrix import Mat, _numerators, _primitive_rows, _tol_key, dot, kernel_basis, normalize
+from .matrix import rank, solve_linear
 from . import lp
 
 _RAY_DIM_GUARD = 6
@@ -50,7 +57,7 @@ class Polyhedron:
     b: tuple
 
     @classmethod
-    def from_rows(cls, normals, offsets, ctx: Context):
+    def from_rows(cls, normals, offsets, ctx: Context, primitive_rows=None):
         A = Mat.from_rows(normals, ctx)
         b = tuple(ctx.coerce(x) for x in offsets)
         if A.rows < 1 or A.cols < 1:
@@ -60,7 +67,15 @@ class Polyhedron:
         for row in A.data:
             if all(ctx.sign(x) == 0 for x in row):
                 raise ShapeMismatch("zero row in facet matrix")
-        return cls(A, b)
+        P = cls(A, b)
+        if primitive_rows is not None:
+            P.__dict__["primitive_rows"] = tuple(primitive_rows)
+        return P
+
+    @cached_property
+    def primitive_rows(self) -> tuple:
+        """(v_i, sigma_i) per row, a_i = sigma_i v_i; from_rows may be given them."""
+        return _primitive_rows(self.A.data, self.ctx)
 
     @property
     def ctx(self) -> Context:
@@ -113,26 +128,28 @@ def require_nondegenerate(P: Polyhedron) -> None:
 def interior_point(P: Polyhedron):
     """A point with A x > b strictly, or None if none exists.
 
-    The primal max eps : A x >= b + eps 1, eps <= 1 is solved as its dual
-    max b.y - z : A^T y = 0, 1.y + z = 1, (y, z) >= 0, which has n + 1 rows
+    The primal max eps : V x >= beta + eps 1, eps <= 1 is solved as its dual
+    max beta.y - z : V^T y = 0, 1.y + z = 1, (y, z) >= 0, which has n + 1 rows
     and is always optimal (y = 0, z = 1 is feasible and y lies in a
     simplex).  Then eps = -value, and the point x is the dual of that LP
     read off its final tableau: y.A_j >= c_j on the column of row j says
-    exactly a_j.x >= b_j + eps.  A positive eps certifies full-dimensional
+    exactly v_j.x >= beta_j + eps.  A positive eps certifies full-dimensional
     nonemptiness; otherwise the system is empty or lies in a hyperplane.
     """
     ctx = P.ctx
     n, m = P.dim, P.nfacets
-    rows = [list(P.A.column(k)) + [ctx.zero()] for k in range(n)]
+    V, beta = [v for v, _ in P.primitive_rows], [b / s for (_, s), b in zip(P.primitive_rows, P.b)]
+    rows = [[v[k] for v in V] + [ctx.zero()] for k in range(n)]
     rows.append([ctx.one()] * (m + 1))
     rhs = [ctx.zero()] * n + [ctx.one()]
-    res = lp.simplex_standard(rows, rhs, list(P.b) + [-ctx.one()], ctx)
+    res = lp.simplex_standard(rows, rhs, beta + [-ctx.one()], ctx)
     if not isinstance(res, lp.Optimal):
         raise BrokenInvariant("interior_point: the dual of max eps is always optimal")
     if ctx.sign(res.value) >= 0:
         return None
     x = tuple(res.dual[:n])
-    if not all(ctx.sign(dot(P.A.row(i), x) - P.b[i]) > 0 for i in range(m)):
+    (X, B), _ = _numerators([x, beta], ctx)  # exact: in integers, over one denominator
+    if not all(ctx.sign(dot(v, X) - bi) > 0 for v, bi in zip(V, B)):
         raise BrokenInvariant("interior_point: the dual point fails A x > b")
     return x
 
@@ -174,20 +191,21 @@ def remove_redundant(P: Polyhedron) -> Polyhedron:
     """The minimal subsystem defining the same full-dimensional set.
 
     Duplicated directions are collapsed to their tightest offset first (one
-    dict keyed by the normalized row), so no test below sees the classic
-    twin-row blind spot (two copies of one inequality shadowing each other).
-    Then each row j shoots a ray from the interior point x0 along -a_j
-    (Clarkson 1994).  Row k is crossed at t = s_k / (a_k.a_j), its slack
-    s_k = a_k.x0 - b_k over its speed, whenever a_k.a_j > 0 (row j itself
+    dict keyed by v_i; float rows by their unit vector), keeping the first
+    row's own normal, so no test below sees the classic twin-row blind spot
+    (two copies of one inequality shadowing each other).
+    Then each row j shoots a ray from the interior point x0 along -v_j
+    (Clarkson 1994).  Row k is crossed at t = s_k / (v_k.v_j), its slack
+    s_k = v_k.x0 - beta_k over its speed, whenever v_k.v_j > 0 (row j itself
     always is).  If exactly one row k is crossed first, the crossing point
     lies on k's hyperplane and strictly inside every other row, so a point
     just past it violates k alone: without k the set would grow, k is a
     facet, and it is kept with no LP.  On a tie (within ``tol`` on the float
-    backend) the shot certifies nothing.  Every row that no shot certifies
-    gets the LP test: it is kept exactly when minimizing its normal over the
-    remaining rows dips below b_j, or is unbounded (the dual LP is
-    infeasible; x0 has already shown that the rows are not empty).  That LP
-    is the only way a row is dropped.
+    backend) the shot certifies nothing; exact shots compare Python ints.
+    Every row that no shot certifies gets the LP test: it is kept exactly
+    when minimizing v_j over the remaining rows dips below beta_j, or is
+    unbounded (the dual LP is infeasible; x0 has already shown that the rows
+    are not empty).  That LP is the only way a row is dropped.
     """
     ctx = P.ctx
     x0 = interior_point(P)
@@ -195,25 +213,22 @@ def remove_redundant(P: Polyhedron) -> Polyhedron:
         raise EmptyOrLowerDimensional(
             "system has no interior point; cannot normalize to a minimal form"
         )
-    kept, slot = [], {}
-    for row, off in zip(P.A.data, P.b):
-        key = _tol_key(normalize(row, ctx), ctx)
+    kept, slot = [], {}  # [first row's index, v, tightest beta] per direction
+    for i, ((v, s), b) in enumerate(zip(P.primitive_rows, P.b)):
+        key, beta = (v if ctx.is_exact else _tol_key(normalize(v, ctx), ctx)), b / s
         if key not in slot:
             slot[key] = len(kept)
-            kept.append([row, off])
+            kept.append([i, v, beta])
             continue
-        # same halfspace direction, row = lam * first; keep the tighter offset
-        first = kept[slot[key]]
-        off = off * dot(first[0], first[0]) / dot(row, first[0])
-        if ctx.lt(first[1], off):
-            first[1] = off
+        first = kept[slot[key]]  # a float twin is lam * first: its offset over lam
+        beta = beta if ctx.is_exact else beta * dot(first[1], first[1]) / dot(v, first[1])
+        if ctx.lt(first[2], beta):
+            first[2] = beta
 
-    m = len(kept)
-    slack = [dot(a, x0) - b for a, b in kept]
-    gram = [[None] * m for _ in range(m)]
-    for j in range(m):
-        for k in range(j + 1):
-            gram[j][k] = gram[k][j] = dot(kept[j][0], kept[k][0])
+    V, beta = [v for _, v, _ in kept], [b for _, _, b in kept]
+    (X, B), _ = _numerators([x0, beta], ctx)
+    slack = [dot(v, X) - bi for v, bi in zip(V, B)]
+    gram = [[dot(u, v) for v in V] for u in V]
     facets = set()
     for speed in gram:
         hit, tie = None, False
@@ -230,15 +245,12 @@ def remove_redundant(P: Polyhedron) -> Polyhedron:
             facets.add(hit)
 
     result = []
-    for j, (row_j, b_j) in enumerate(kept):
+    for j, (i, v, b) in enumerate(kept):
         if j not in facets:
-            others = kept[:j] + kept[j + 1:]
-            val = _functional_min_rows(
-                [r for r, _ in others], [o for _, o in others], list(row_j), ctx
-            )
-            if val is not None and not ctx.lt(val, b_j):
+            val = _functional_min_rows(V[:j] + V[j + 1:], beta[:j] + beta[j + 1:], list(v), ctx)
+            if val is not None and not ctx.lt(val, b):
                 continue
-        result.append((row_j, b_j))
+        result.append((P.A.data[i], P.primitive_rows[i][1] * b))
     if not result:
         raise EmptyOrLowerDimensional("every inequality turned out removable")
     return Polyhedron.from_rows([r for r, _ in result], [o for _, o in result], ctx)

@@ -48,10 +48,10 @@ from .errors import (
     RecessionNotStrictlyPositive,
     UnboundedPolyhedron,
 )
-from .matrix import Mat, _numerators, _ratio, _tol_key, dot, solve_columns
-from .hedgehogs import canonical_needle
+from .matrix import Mat, _numerators, _primitive_rows, _ratio, _tol_key, dot, solve_columns
+from .hedgehogs import _needle
 from .polyhedra import Polyhedron, _strict_multiplier, boundedness, require_nondegenerate
-from .frames import build, system_from_normals
+from .frames import build, system_from_primitive
 from . import lp
 
 
@@ -148,16 +148,15 @@ def _pad_and_embed(P: Polyhedron, aux_normals, generators, y=None) -> Embedding:
     u.x >= lambda.b - 1 is strictly slack; lambda.b is read off the
     products g_k.b and y.b, taken once.  The per-row work runs on the
     integer numerators of ``_numerators``; one scalar is built per row,
-    its offset.
+    its offset.  Lines and the padded system read the rows (v_i, sigma_i).
     """
     ctx = P.ctx
-    own = [P.A.row(i) for i in range(P.nfacets)]
-    # one key per line through the origin, on the float backend rounded by tol
-    seen, added = {_tol_key(canonical_needle(r, ctx), ctx) for r in own}, []
-    for a in aux_normals:
-        if (key := _tol_key(canonical_needle(a, ctx), ctx)) not in seen:
+    seen, added, split = {_tol_key(_needle(v, ctx), ctx) for v, _ in P.primitive_rows}, [], []
+    for a, row in zip(aux_normals, _primitive_rows(aux_normals, ctx)):
+        if (key := _tol_key(_needle(row[0], ctx), ctx)) not in seen:
             seen.add(key)
             added.append(list(a))
+            split.append(row)
     At = P.A.transpose().data
     for k, g in enumerate(generators):
         if g is None or not all(ctx.eq(dot(col, g), int(j == k)) for j, col in enumerate(At)):
@@ -189,9 +188,9 @@ def _pad_and_embed(P: Polyhedron, aux_normals, generators, y=None) -> Embedding:
             raise BrokenInvariant("realize: a multiplier failed lambda >= 0")
         scale = q * den * b_den * s_den
         offsets.append(_ratio(lam_b - scale, scale, ctx))
-    ext_rows = [list(r) for r in own] + added
+    ext_rows = [list(r) for r in P.A.data] + added
     ext_b = list(P.b) + offsets
-    system = system_from_normals(ext_rows, ctx)
+    system = system_from_primitive(P.primitive_rows + tuple(split), ctx)
     outcome = lp.decide_positive(system)
     if not outcome.is_positive:
         raise BrokenInvariant("realize: the padded system lost its positive weighting")

@@ -510,6 +510,25 @@ def test_exact_stdout_and_exit_codes_match_their_digest(command, monkeypatch, ca
     assert h.hexdigest() == STDOUT_DIGESTS[command]
 
 
+# the same digests for `--backend float`, recorded before reduce and
+# remove_redundant moved to primitive integer rows
+FLOAT_STDOUT_DIGESTS = {
+    "is-orthant": "9601943257cafc44151fdc7f15a825faf33329aac4a317bc212dc017b8bc41ea",
+    "rank": "01388e666455689e76d8bcaa46bf3ea3f04ef5208869272114fb5733ac7f54ed",
+    "decompose": "afe1635e73963c9d2ab4e1a6ab872b575788633a3e1e9a959cabb20f8a965202",
+    "realize": "41f1103b80c4154e9f6eb57798a48d228ab2e5c339da25399b3f4da23735a111",
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLOAT_STDOUT_DIGESTS))
+def test_float_stdout_and_exit_codes_match_their_digest(command, monkeypatch, capsys):
+    h = hashlib.sha256()
+    for name, text in digest_inputs():
+        code, out = in_process(monkeypatch, capsys, "--backend", "float", command, "-", stdin=text)
+        h.update(f"{name}\n{code}\n{out}".encode())
+    assert h.hexdigest() == FLOAT_STDOUT_DIGESTS[command]
+
+
 # ten Cayley rotations: every family at n = 3, 4 and 5, then cube 3 again
 FLOAT_ROTATIONS = [
     (kind, 3 + seed // 3 % 3, seed) for seed, kind in zip(range(10), cycle(FAMILIES))

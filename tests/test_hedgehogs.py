@@ -21,7 +21,7 @@ from orthants import (
 )
 from orthants.context import EXACT, FLOAT
 from orthants.errors import DegeneratePolyhedron, DimensionMismatch, TooManyNeedles
-from orthants.hedgehogs import Hedgehog, canonical_needle
+from orthants.hedgehogs import Hedgehog
 from orthants.matrix import dot
 from conftest import rand_frac, random_needles_2d, rational_rotation, rotated, shuffled
 from oracles import canonical_rows, rref_rank

@@ -276,7 +276,7 @@ class TestAgainstFourierMotzkin:
         assert outcomes == {"empty", "unbounded", "value"}
 
     def test_remove_redundant(self, monkeypatch):
-        rng = random.Random(2025)
+        rng, scale_rng = random.Random(2025), random.Random(2030)
         reduced = rows_tested = 0
         tests = counting_lp_tests(monkeypatch)
         for _ in range(SYSTEMS):
@@ -305,8 +305,21 @@ class TestAgainstFourierMotzkin:
             for (a, b), u, c in zip(expected, got.A.data, got.b):
                 assert abs(float(b) - c) < 1e-9
                 assert all(abs(float(x) - y) < 1e-9 for x, y in zip(a, u))
+            # every row and its offset times its own positive rational of large
+            # content: the same rows are kept, each scaled by its first occurrence's
+            # factor (the offsets b_i / sigma_i and the dedup of big primitive rows)
+            lam = [Fraction(scale_rng.randint(1, 10**12), scale_rng.randint(1, 10**12))
+                   for _ in rows]
+            scaled = Polyhedron.from_rows([[x * f for x in a] for a, f in zip(rows, lam)],
+                                          [b * f for b, f in zip(offsets, lam)], EXACT)
+            first = {id(a): lam[next(i for i, r in enumerate(rows) if r is a)] for a, _ in merged}
+            kept = [(a, b) for a, b in merged if (tuple(a), b) in expected]
+            red = remove_redundant(scaled)
+            assert list(zip(red.A.data, red.b)) == [
+                (tuple(x * first[id(a)] for x in a), b * first[id(a)]) for a, b in kept
+            ]
             reduced += len(expected) < len(merged)
-            rows_tested += 2 * len(merged)
+            rows_tested += 3 * len(merged)
         assert reduced > SYSTEMS // 10
         # both routes settle a share of the rows: the ray shots and the LPs
         assert 0 < len(tests) < rows_tested

@@ -32,8 +32,8 @@ from orthants.context import EXACT, FLOAT
 from orthants.errors import BrokenInvariant, RecessionNotStrictlyPositive, UnboundedPolyhedron
 from orthants.frames import build
 from orthants.lp import decide_positive
-from orthants.hedgehogs import canonical_needle
-from orthants.matrix import _tol_key, dot, kernel_basis, solve_columns
+from orthants.hedgehogs import _needle
+from orthants.matrix import _primitive_rows, _tol_key, dot, kernel_basis, solve_columns
 from orthants.polyhedra import boundedness
 from conftest import rational_rotation, rotated, shuffled
 from oracles import functional_minimum, rref_rank, solve_any
@@ -216,8 +216,8 @@ def test_turned_shear_is_still_refused():
 def lines(rows, ctx):
     """rows with repeated lines dropped, first occurrence kept, as in _pad_and_embed."""
     seen, out = set(), []
-    for r in rows:
-        key = _tol_key(canonical_needle(r, ctx), ctx)
+    for r, (v, _) in zip(rows, _primitive_rows(rows, ctx)):
+        key = _tol_key(_needle(v, ctx), ctx)
         if key not in seen:
             seen.add(key)
             out.append(list(r))
