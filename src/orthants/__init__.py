@@ -18,13 +18,12 @@ from .polyhedra import (
     boundedness,
     functional_min,
     interior_point,
-    is_bounded,
     is_nondegenerate,
     recession_rays,
     remove_redundant,
     vertices,
 )
-from .frames import BangSystem, build, is_consistent, poly_rank, system_from_normals
+from .frames import BangSystem, build, system_from_normals
 from .lp import (
     Infeasible,
     LpProblem,
@@ -41,7 +40,6 @@ from .hedgehogs import (
     canonical_polyhedron,
     equal,
     from_needles,
-    is_subhedgehog,
     reduce,
     union,
 )

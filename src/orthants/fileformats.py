@@ -75,13 +75,6 @@ def polyhedron_from_text(text: str, ctx: Context = None) -> Polyhedron:
 # -- squared-distance matrices ------------------------------------------------
 
 
-def metric_to_text(S: SimplexMetric) -> str:
-    ctx = S.ctx
-    k = S.n + 1
-    flat = [ctx.format(S.entry(i, j)) for i in range(k) for j in range(k)]
-    return json.dumps({"dim": S.n, "backend": ctx.backend, "d2": flat}, indent=2) + "\n"
-
-
 def metric_from_text(text: str, ctx: Context = None) -> SimplexMetric:
     doc = _loads(text)
     ctx = _context_for(doc, ctx)
@@ -112,12 +105,6 @@ def gram_from_text(text: str, ctx: Context = None) -> GramMatrix:
         raise ParseError(f"g must hold {m * m} entries row-major")
     rows = [flat[i * m : (i + 1) * m] for i in range(m)]
     return GramMatrix.from_rows(rows, ctx)
-
-
-def gram_to_text(G: GramMatrix) -> str:
-    ctx = G.ctx
-    flat = [ctx.format(G.G.data[i][j]) for i in range(G.m) for j in range(G.m)]
-    return json.dumps({"m": G.m, "backend": ctx.backend, "g": flat}, indent=2) + "\n"
 
 
 def factor_from_text(text: str, ctx: Context = None):

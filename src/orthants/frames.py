@@ -26,30 +26,21 @@ and file dumps are byte-stable.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .context import Context
-from .lp import _IntegerColumns
 from .matrix import Mat, _primitive_rows, pivot_columns
 from .polyhedra import Polyhedron, require_nondegenerate
 
 
 class BangSystem:
-    """Q t = c, the pairs (p, q) of its rows, and Q = W diag(scales), Q
-    built on first read.  Exact: W is an integer Mat and the scales are
-    positive Fractions; a Q given instead is scaled to integers by the lcm
-    of each column's denominators.  Float: every scale is 1.
+    """Q t = c as integer columns W with one positive scale each,
+    Q = W diag(scales), and the pairs (p, q) of its rows.  Exact: W is an
+    integer Mat and the scales are positive Fractions; float: every scale
+    is 1.  Q itself is built only when read, which ``--dump-bang`` does.
     """
 
-    def __init__(self, pairs, Q: Mat | None, c, *, W: Mat | None = None, scales=()):
-        if W is None and Q.ctx.is_exact:
-            A = _IntegerColumns.of(Q.data, Q.cols)
-            W = Mat(tuple(zip(*A.cols)), Q.ctx) if A.cols else Q
-            scales = [Fraction(1, s) for s in A.sigma]
-        elif W is None:
-            W, scales = Q, [Q.ctx.one()] * Q.cols
-        self.pairs, self.c, self._Q = tuple(pairs), tuple(c), Q
-        self.W, self.scales = W, tuple(scales)
+    def __init__(self, pairs, W: Mat, scales, c):
+        self.pairs, self.W, self.scales, self.c = tuple(pairs), W, tuple(scales), tuple(c)
+        self._Q = None
 
     @property
     def Q(self) -> Mat:
@@ -71,7 +62,7 @@ def system_from_primitive(rows, ctx: Context) -> BangSystem:
     pairs = coordinate_pairs(len(rows[0][0]))
     c = tuple(ctx.one() if p == q else ctx.zero() for p, q in pairs)
     W = Mat(tuple(tuple(v[p] * v[q] for v, _ in rows) for p, q in pairs), ctx)
-    return BangSystem(pairs, None, c, W=W, scales=[s * s for _, s in rows])
+    return BangSystem(pairs, W, [s * s for _, s in rows], c)
 
 
 def system_from_normals(normals, ctx: Context) -> BangSystem:
@@ -95,17 +86,3 @@ def rank_and_consistency(system: BangSystem) -> tuple:
     aug = Mat(tuple(row + (ci,) for row, ci in zip(W.data, system.c)), W.ctx)
     pivots = pivot_columns(aug)
     return sum(p < W.cols for p in pivots), W.cols not in pivots
-
-
-def poly_rank(P: Polyhedron) -> int:
-    """rank Q; satisfies n <= rank <= n(n+1)/2 for nondegenerate inputs."""
-    return rank_and_consistency(build(P))[0]
-
-
-def is_consistent(P: Polyhedron) -> bool:
-    """True when Q t = c is solvable at all (sign-free).
-
-    Orthant polyhedra always pass this test; the converse fails, so this is
-    the cheap necessary condition, not the decision.
-    """
-    return rank_and_consistency(build(P))[1]

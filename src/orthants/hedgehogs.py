@@ -167,7 +167,7 @@ def union(h1: Hedgehog, h2: Hedgehog) -> Hedgehog:
 
 
 # ---------------------------------------------------------------------------
-# equality and subhedgehogs, via normalized Gram data
+# equality, via normalized Gram data
 
 
 def _norm_entry(G, norms, i, j, ctx):
@@ -271,19 +271,3 @@ def _signs_consistent(G1, G2, n1, n2, perm, ctx) -> bool:
                 elif color[i] * color[j] != need:
                     return False
     return True
-
-
-def is_subhedgehog(h1: Hedgehog, h2: Hedgehog) -> bool:
-    """True when some size-matching subset of h2's needles equals h1."""
-    from itertools import combinations
-
-    for h in (h1, h2):
-        if h.count > _NEEDLE_GUARD:
-            raise TooManyNeedles(f"subhedgehog is guarded to <= {_NEEDLE_GUARD} needles")
-    if h1.dim != h2.dim or h1.count > h2.count:
-        return False
-    for subset in combinations(range(h2.count), h1.count):
-        sub = Hedgehog(h2.dim, tuple(h2.needles[i] for i in subset), h2.ctx)
-        if equal(h1, sub):
-            return True
-    return False

@@ -456,11 +456,12 @@ def solve(prob: LpProblem):
 
 
 def _lp_rows(system):
-    """Q as LP rows: Q's own on the float backend; on the exact one integer
-    columns, p_j W_j over q_j for the scale p_j / q_j, with no Fraction."""
-    if not system.W.ctx.is_exact:
-        return system.Q.data
+    """Q as LP rows, read off W: W's own rows on the float backend, where
+    every scale is 1; on the exact one integer columns, p_j W_j over q_j for
+    the scale p_j / q_j, with no Fraction."""
     W, scales = system.W, system.scales
+    if not W.ctx.is_exact:
+        return W.data
     cols = [[w * s.numerator for w in col] for col, s in zip(zip(*W.data), scales)]
     return _IntegerColumns(cols, [s.denominator for s in scales], W.rows)
 

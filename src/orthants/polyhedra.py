@@ -8,7 +8,9 @@ degenerate set can never sit inside a nonnegative orthant.
 Rows are made primitive once, in the cached view ``primitive_rows``:
 a_i = sigma_i v_i, sigma_i > 0, v_i a primitive integer vector (exact).
 What depends on a row only up to a positive factor reads it: the LPs and
-sign tests here (as v_i x >= beta_i = b_i / sigma_i), hedgehogs and frames.
+sign tests here (as v_i x >= beta_i = b_i / sigma_i), the strict
+multiplier LP (as the columns v_i with scales sigma_i), hedgehogs and
+frames.
 
 Emptiness and full-dimensionality are detected with one interior-point
 linear program instead of any vertex enumeration.  Redundancy removal
@@ -294,10 +296,13 @@ def recession_rays(P: Polyhedron) -> Cone:
 
 def _strict_multiplier(P: Polyhedron, u) -> lp.PositivityOutcome:
     """u = A^T lambda with lambda > 0 (Schrijver 1986, sec. 7.8), re-checked.
-    Positive carries lambda, NotPositive a v with A v >= 0 and u.v <= 0, not
-    both zero; never Inconsistent, as A has full column rank (callers check)."""
+    The system reads P's primitive rows, W = V^T with the scales sigma_i:
+    column i of A^T is a_i = sigma_i v_i.  Positive carries lambda,
+    NotPositive a v with A v >= 0 and u.v <= 0, not both zero; never
+    Inconsistent, as A has full column rank (callers check)."""
     from .frames import BangSystem  # frames imports this module
-    system = BangSystem((), P.A.transpose(), tuple(u))
+    V, sigma = zip(*P.primitive_rows)
+    system = BangSystem((), Mat(tuple(zip(*V)), P.ctx), sigma, tuple(u))
     outcome = lp.decide_positive(system)
     if outcome.verdict == lp.Verdict.INCONSISTENT or not lp.verify_outcome(system, outcome):
         raise BrokenInvariant("a multiplier LP u = A^T lambda, lambda > 0 failed its re-check")
@@ -313,10 +318,6 @@ def boundedness(P: Polyhedron) -> lp.PositivityOutcome:
     """
     require_nondegenerate(P)
     return _strict_multiplier(P, [P.ctx.zero()] * P.dim)
-
-
-def is_bounded(P: Polyhedron) -> bool:
-    return boundedness(P).is_positive
 
 
 # ---------------------------------------------------------------------------

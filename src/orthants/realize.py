@@ -19,8 +19,8 @@ sec. 7.3 and 7.8).  Multipliers are linear in u: both routes hand
 ``_pad_and_embed`` generators g_1..g_n with A^T g_k = e_k, and bounded
 inputs also a kernel vector y > 0 with A^T y = 0.  Row u gets
 lambda = sum_k u_k g_k + s y, with the least s >= 0 that makes it
-nonnegative (s = 0 without y).  The generators and y are checked once;
-per row only lambda >= 0 is checked, in integers.  They come from:
+nonnegative (s = 0 without y).  The generators and y are checked once,
+and per row only lambda >= 0, all on integer numerators.  They come from:
 
 * Bounded P (Stiemke: u = 0 is Positive): eps = 1, where the family is the
   full-rank orthant family ``generate_max_rank_orthant``; the generators
@@ -139,16 +139,18 @@ def _pad_and_embed(P: Polyhedron, aux_normals, generators, y=None) -> Embedding:
     """P's rows, then every auxiliary normal whose line is new, each pushed
     strictly below P by its multiplier.
 
-    ``generators`` are g_1..g_n with A^T g_k = e_k, and on bounded inputs
-    y > 0 has A^T y = 0; both are checked here once.  Row u gets, by
-    linearity, lambda = mu + s y with mu = sum_k u_k g_k and
-    s = max(0, max_i -mu_i / y_i) (s = 0 without y), so A^T lambda = u
-    holds and only lambda >= 0 is checked per row.  Then
-    u.x = lambda.(A x) >= lambda.b on P (weak duality), so
-    u.x >= lambda.b - 1 is strictly slack; lambda.b is read off the
-    products g_k.b and y.b, taken once.  The per-row work runs on the
-    integer numerators of ``_numerators``; one scalar is built per row,
-    its offset.  Lines and the padded system read the rows (v_i, sigma_i).
+    ``generators`` are g_1..g_n with A^T g_k = e_k (None where
+    ``solve_columns`` found e_k out of reach), and on bounded inputs y > 0
+    has A^T y = 0.  Both are checked here once, on the integer numerators
+    of ``_numerators``: with A = N / d and the vectors over one denominator
+    D, A^T g_k = e_k reads N^T G_k = d D e_k.  Row u gets, by linearity,
+    lambda = mu + s y with mu = sum_k u_k g_k and s = max(0, max_i -mu_i / y_i)
+    (s = 0 without y), so A^T lambda = u holds and only lambda >= 0 is
+    checked per row, on the same numerators.  Then u.x = lambda.(A x) >=
+    lambda.b on P (weak duality), so u.x >= lambda.b - 1 is strictly slack;
+    lambda.b is read off the products g_k.b and y.b, taken once.  One scalar
+    is built per row, its offset.  Lines and the padded system read the
+    rows (v_i, sigma_i).
     """
     ctx = P.ctx
     seen, added, split = {_tol_key(_needle(v, ctx), ctx) for v, _ in P.primitive_rows}, [], []
@@ -157,15 +159,20 @@ def _pad_and_embed(P: Polyhedron, aux_normals, generators, y=None) -> Embedding:
             seen.add(key)
             added.append(list(a))
             split.append(row)
-    At = P.A.transpose().data
-    for k, g in enumerate(generators):
-        if g is None or not all(ctx.eq(dot(col, g), int(j == k)) for j, col in enumerate(At)):
-            raise BrokenInvariant(f"realize: multiplier generator {k + 1} failed A^T g = e_{k + 1}")
+    if None in generators:  # solve_columns found A^T g = e_k inconsistent
+        k = generators.index(None)
+        raise BrokenInvariant(f"realize: multiplier generator {k + 1} failed A^T g = e_{k + 1}")
     shift = y is not None
-    if shift and (any(ctx.sign(w) <= 0 for w in y)
-                  or any(not ctx.is_zero(dot(col, y)) for col in At)):
-        raise BrokenInvariant("realize: the multiplier shift y failed y > 0, A^T y = 0")
     vectors, den = _numerators([*generators, y] if shift else generators, ctx)
+    rows, a_den = _numerators(P.A.data, ctx)
+    # A^T v over a_den * den, column by column of A
+    images = [[dot(col, v) for col in zip(*rows)] for v in vectors]
+    for k, image in enumerate(images[:P.dim]):
+        if not all(ctx.eq(x, int(j == k) * a_den * den) for j, x in enumerate(image)):
+            raise BrokenInvariant(f"realize: multiplier generator {k + 1} failed A^T g = e_{k + 1}")
+    if shift and (any(ctx.sign(w) <= 0 for w in vectors[-1])
+                  or any(not ctx.is_zero(x) for x in images[-1])):
+        raise BrokenInvariant("realize: the multiplier shift y failed y > 0, A^T y = 0")
     (b,), b_den = _numerators([P.b], ctx)
     products = [dot(v, b) for v in vectors]
     offsets = []

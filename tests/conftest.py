@@ -7,7 +7,8 @@ import pytest
 
 from orthants import Mat, Polyhedron, decide_positive, lp
 from orthants.context import EXACT
-from orthants.matrix import solve_columns
+from orthants.frames import BangSystem
+from orthants.matrix import _primitive_rows, solve_columns
 
 
 def rand_frac(rng, lo=-9, hi=9, max_den=9, nonzero=False):
@@ -82,14 +83,20 @@ def rational_rotation_2d(rng):
 
 def rational_rotation(rng, n):
     """Exact rational orthogonal matrix via the Cayley transform of a random
-    skew-symmetric matrix S: R = (I - S)(I + S)^-1, read off one
-    solve_columns pass, since (I - S) R^T = I + S."""
+    skew-symmetric matrix S."""
     S = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             v = rand_frac(rng, -3, 3, 3)
             S[i][j] = v
             S[j][i] = -v
+    return cayley(S)
+
+
+def cayley(S):
+    """R = (I - S)(I + S)^-1 for a skew-symmetric S, read off one
+    solve_columns pass, since (I - S) R^T = I + S."""
+    n = len(S)
     I = Mat.identity(n, EXACT)
     plus = Mat.from_rows(
         [[I.data[i][j] + S[i][j] for j in range(n)] for i in range(n)], EXACT
@@ -107,11 +114,31 @@ def rotated(P, R):
     return Polyhedron.from_rows(rows, P.b, EXACT)
 
 
+def shear(n):
+    """The cone 2 x_i - x_j >= 0 over ordered pairs i != j: rays strictly positive."""
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                rows.append([2 if k == i else -1 if k == j else 0 for k in range(n)])
+    return Polyhedron.from_rows(rows, [0] * len(rows), EXACT)
+
+
 def shuffled(P, rng):
     """P with its rows (and offsets) in a random order."""
     order = list(range(P.nfacets))
     rng.shuffle(order)
     return Polyhedron.from_rows([P.A.row(i) for i in order], [P.b[i] for i in order], EXACT)
+
+
+def system_from_matrix(Q, c, ctx=EXACT):
+    """Q t = c for a raw coefficient matrix, one pair (i, i) per row: Q's
+    columns pass through matrix._primitive_rows, Q_j = sigma_j W_j, and
+    the system holds W and the scales sigma_j."""
+    columns = _primitive_rows(Mat.from_rows(Q, ctx).transpose().data, ctx)
+    W = Mat(tuple(zip(*(w for w, _ in columns))), ctx)
+    pairs = tuple((i, i) for i in range(len(Q)))
+    return BangSystem(pairs, W, [s for _, s in columns], tuple(ctx.coerce(x) for x in c))
 
 
 def recorded_lps(systems):

@@ -14,7 +14,7 @@ from itertools import cycle
 
 import pytest
 
-from conftest import rational_rotation
+from conftest import cayley, rational_rotation, rotated, shear
 from oracles import rref_rank
 from orthants import (
     Embedding,
@@ -527,6 +527,45 @@ def test_float_stdout_and_exit_codes_match_their_digest(command, monkeypatch, ca
         code, out = in_process(monkeypatch, capsys, "--backend", "float", command, "-", stdin=text)
         h.update(f"{name}\n{code}\n{out}".encode())
     assert h.hexdigest() == FLOAT_STDOUT_DIGESTS[command]
+
+
+def unbounded_digest_inputs():
+    """(name, text): shear(n) for n = 2..5, each turned by a random Cayley
+    rotation (refused: its recession cone leaves the orthant) and by a small
+    one, S_ij = (j - i) / 10n for i < j (realized through the Farkas LPs)."""
+    inputs = []
+    for n in range(2, 6):
+        S = [[Fraction(j - i, 10 * n) for j in range(n)] for i in range(n)]
+        R = rational_rotation(random.Random(n), n)
+        copies = [("", shear(n)), (" random", rotated(shear(n), R)),
+                  (" small", rotated(shear(n), cayley(S)))]
+        inputs += [(f"shear {n}{kind}", polyhedron_to_text(P)) for kind, P in copies]
+    return inputs
+
+
+# sha256 over "<name>\n<exit code>\n<stdout>" of realize on every input of
+# unbounded_digest_inputs(), plus the error line on exit 2, which prints the
+# recession direction of the refused multiplier LP; recorded before the
+# multiplier LPs read the primitive rows and realize checked them in integers
+UNBOUNDED_REALIZE_DIGESTS = {
+    "exact": "8fa9037625ab76a8920f79e94ff5b8510dad72f387eaf4c93cb2d26f59ee4ca7",
+    "float": "60ffccad9c27e7ff79e0d77f89b49f1ccfdc3f15d62d9c5be8f195393a046828",
+}
+
+
+@pytest.mark.parametrize("backend", sorted(UNBOUNDED_REALIZE_DIGESTS))
+def test_unbounded_realize_matches_its_digest(backend, monkeypatch, capsys):
+    h, codes = hashlib.sha256(), []
+    for name, text in unbounded_digest_inputs():
+        code, out, err = in_process_streams(
+            monkeypatch, capsys, "--backend", backend, "realize", "-", stdin=text
+        )
+        codes.append(code)
+        h.update(f"{name}\n{code}\n{out}".encode())
+        if code == 2:
+            h.update(err.splitlines()[0].encode())
+    assert sorted(set(codes)) == [0, 2]  # both realizations and refusals
+    assert h.hexdigest() == UNBOUNDED_REALIZE_DIGESTS[backend]
 
 
 # ten Cayley rotations: every family at n = 3, 4 and 5, then cube 3 again

@@ -6,15 +6,12 @@ from fractions import Fraction
 import pytest
 
 from orthants import (
-    Mat,
     Polyhedron,
     build,
     decide_positive,
     generate_cross_polytope,
     generate_cube,
     generate_max_rank_orthant,
-    is_consistent,
-    poly_rank,
     rank,
 )
 from orthants.context import EXACT, FLOAT
@@ -22,7 +19,10 @@ from orthants.frames import BangSystem, coordinate_pairs, rank_and_consistency, 
 from orthants import cli, lp
 from orthants.fileformats import polyhedron_to_text
 from oracles import rref_rank, solve_any, weighting_matrix
-from conftest import random_needles_2d, rational_rotation, recorded_lps, weighting_normal_sets
+from conftest import (
+    random_needles_2d, rational_rotation, recorded_lps, shear, system_from_matrix,
+    weighting_normal_sets,
+)
 
 
 def poly_from_normals(normals, ctx=EXACT):
@@ -56,14 +56,15 @@ class TestBuild:
 class TestRank:
     def test_cube_rank_is_dimension(self):
         for n in (2, 3, 4):
-            assert poly_rank(generate_cube(n)) == n
+            assert rank_and_consistency(build(generate_cube(n)))[0] == n
 
     def test_quadrant(self):
-        assert poly_rank(poly_from_normals([(1, 0), (0, 1)])) == 2
+        assert rank_and_consistency(build(poly_from_normals([(1, 0), (0, 1)])))[0] == 2
 
     def test_max_rank_family(self):
         for n in (2, 3):
-            assert poly_rank(generate_max_rank_orthant(n)) == n * (n + 1) // 2
+            B = build(generate_max_rank_orthant(n))
+            assert rank_and_consistency(B)[0] == n * (n + 1) // 2
 
     def test_rank_at_least_dimension(self):
         rng = random.Random(3)
@@ -71,16 +72,16 @@ class TestRank:
             normals = random_needles_2d(rng, rng.randint(2, 6))
             P = poly_from_normals(normals)
             if rank(P.A) == 2:
-                assert poly_rank(P) >= 2
+                assert rank_and_consistency(build(P))[0] >= 2
 
 
 class TestConsistency:
     def test_quadrant(self):
-        assert is_consistent(poly_from_normals([(1, 0), (0, 1)]))
+        assert rank_and_consistency(build(poly_from_normals([(1, 0), (0, 1)])))[1]
 
     def test_right_triangle_consistent_but_not_positive(self):
         P = poly_from_normals([(1, 0), (0, 1), (-1, -1)])
-        assert is_consistent(P)
+        assert rank_and_consistency(build(P))[1]
         assert not decide_positive(build(P)).is_positive
 
     def test_matches_direct_solving(self):
@@ -90,13 +91,13 @@ class TestConsistency:
             P = poly_from_normals(normals)
             B = build(P)
             direct = solve_any([list(r) for r in B.Q.data], list(B.c))
-            assert is_consistent(P) == (direct is not None)
+            assert rank_and_consistency(B)[1] == (direct is not None)
 
     def test_named_triple(self):
         P = poly_from_normals([(1, 0), (-1, 3), (-1, -3)])
         B = build(P)
         direct = solve_any([list(r) for r in B.Q.data], list(B.c))
-        assert is_consistent(P) == (direct is not None)
+        assert rank_and_consistency(B)[1] == (direct is not None)
 
 
 def oracle_rank_and_consistency(Q_rows, c):
@@ -136,9 +137,7 @@ class TestOneEchelonPass:
                 c = [sum(a * b for a, b in zip(row, t)) for row in rows]
             else:
                 c = [Fraction(rng.randint(-3, 3)) for _ in rows]
-            B = BangSystem(
-                tuple((i, i) for i in range(len(rows))), Mat.from_rows(rows, EXACT), tuple(c)
-            )
+            B = system_from_matrix(rows, c)
             expected = oracle_rank_and_consistency(rows, c)
             assert rank_and_consistency(B) == expected
             outcomes.add(expected[1])
@@ -158,8 +157,7 @@ class TestInvariance:
             scaled[i] = tuple(lam * x for x in scaled[i])
             B2 = build(poly_from_normals(scaled))
             assert B2.Q.column(i) == tuple(lam * lam * x for x in B.Q.column(i))
-            assert poly_rank(poly_from_normals(scaled)) == poly_rank(P)
-            assert is_consistent(poly_from_normals(scaled)) == is_consistent(P)
+            assert rank_and_consistency(B2) == rank_and_consistency(B)
             assert (
                 decide_positive(B2).is_positive == decide_positive(B).is_positive
             )
@@ -208,7 +206,7 @@ class TestInvariance:
             normals = random_needles_2d(rng, rng.randint(2, 6))
             P = poly_from_normals(normals)
             if decide_positive(build(P)).is_positive:
-                assert is_consistent(P)
+                assert rank_and_consistency(build(P))[1]
 
 
 class TestCrossPolytope:
@@ -263,21 +261,23 @@ class TestIntegerForm:
         assert overflows == 1  # the rows with entries of 10^2200
 
     def test_exact_commands_build_no_fraction_q(self, monkeypatch, capsys):
-        # decisions, ranks, decompositions and embeddings run on W; only
-        # --dump-bang reads Q
+        # decisions, ranks, decompositions and embeddings run on W on both
+        # backends, for polytopes and an unbounded cone; only --dump-bang reads Q
         read = BangSystem.Q.fget
         built = []
         monkeypatch.setattr(
             BangSystem, "Q", property(lambda B: built.append(B._Q is None) or read(B))
         )
         commands = ["is-orthant", "rank", "classify2d", "decompose", "embed", "realize"]
-        for gen in (generate_cube, generate_cross_polytope, generate_max_rank_orthant):
-            for n in (2, 3):
-                text = polyhedron_to_text(gen(n))
+        inputs = [(f"{gen.__name__} {n}", gen(n)) for n in (2, 3)
+                  for gen in (generate_cube, generate_cross_polytope, generate_max_rank_orthant)]
+        for backend in ("exact", "float"):
+            for name, P in inputs + [("shear 3", shear(3))]:
+                text = polyhedron_to_text(P)
                 for command in commands:
                     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-                    assert cli.main([command, "-"]) in (0, 2)
-                assert not any(built), (gen.__name__, n)
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+                    assert cli.main(["--backend", backend, command, "-"]) in (0, 1, 2)
+                assert not any(built), (backend, name)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(polyhedron_to_text(generate_cube(3))))
         assert cli.main(["--dump-bang", "is-orthant", "-"]) == 0 and any(built)
         capsys.readouterr()

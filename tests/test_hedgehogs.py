@@ -14,7 +14,6 @@ from orthants import (
     generate_cross_polytope,
     generate_cube,
     generate_max_rank_orthant,
-    is_subhedgehog,
     reduce,
     remove_redundant,
     union,
@@ -237,28 +236,6 @@ class TestEqual:
         )
         with pytest.raises(TooManyNeedles):
             equal(big, big)
-
-
-class TestSubhedgehog:
-    def test_quadrant_inside_augmented_square(self):
-        swd = from_needles([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)], 2, FLOAT)
-        quad = from_needles([(1.0, 0.0), (0.0, 1.0)], 2, FLOAT)
-        assert is_subhedgehog(quad, swd)
-        assert not is_subhedgehog(swd, quad)
-
-    def test_triangle_inside_hexagon(self):
-        hexa = from_needles(regular_polygon_needles(6), 2, FLOAT)
-        tri = from_needles(regular_polygon_needles(3), 2, FLOAT)
-        assert is_subhedgehog(tri, hexa)
-
-    def test_partial_order_spot_checks(self):
-        a = from_needles([(1, 0)], 2, EXACT)
-        b = from_needles([(1, 0), (0, 1)], 2, EXACT)
-        c = from_needles([(1, 0), (0, 1), (1, 1)], 2, EXACT)
-        assert is_subhedgehog(a, b) and is_subhedgehog(b, c) and is_subhedgehog(a, c)
-        assert not is_subhedgehog(c, b)
-        # antisymmetry up to equality
-        assert is_subhedgehog(b, b) and equal(b, b)
 
 
 class TestUnion:

@@ -19,20 +19,11 @@ from orthants import (
 from orthants import lp
 from orthants.context import Context, EXACT, FLOAT
 from orthants.errors import OrthantsError
-from orthants.frames import BangSystem, coordinate_pairs, system_from_normals
+from orthants.frames import coordinate_pairs, system_from_normals
 from orthants.lp import simplex_standard
 from orthants.matrix import dot
 from oracles import strictly_positive_solvable, verify_positivity
-from conftest import recorded_lps, weighting_normal_sets
-
-
-def bang_from_matrix(rows, c, ctx=EXACT):
-    """Wrap a raw coefficient matrix as a positivity problem."""
-    return BangSystem(
-        tuple((i, i) for i in range(len(rows))),
-        Mat.from_rows(rows, ctx),
-        tuple(ctx.coerce(x) for x in c),
-    )
+from conftest import recorded_lps, system_from_matrix, weighting_normal_sets
 
 
 class TestSolve:
@@ -127,7 +118,7 @@ class TestDecidePositive:
         assert verify_outcome(RIGHT, out)
 
     def test_inconsistent_certificate(self):
-        system = bang_from_matrix([[1], [1]], [0, 1])
+        system = system_from_matrix([[1], [1]], [0, 1])
         out = decide_positive(system)
         assert out.verdict == Verdict.INCONSISTENT
         assert verify_outcome(system, out)
@@ -342,7 +333,7 @@ def random_bang(rng, max_rows=4, max_cols=6):
         for _ in range(rows)
     ]
     c = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rows)]
-    return bang_from_matrix(Q, c)
+    return system_from_matrix(Q, c)
 
 
 class TestAgainstOracle:
@@ -391,7 +382,7 @@ class TestAgainstOracle:
                 Fraction(rng.randint(1, 5), rng.randint(1, 5))
                 for _ in range(system.Q.cols)
             ]
-            scaled = bang_from_matrix(
+            scaled = system_from_matrix(
                 [[x * scales[j] for j, x in enumerate(row)] for row in system.Q.data],
                 list(system.c),
             )
@@ -412,7 +403,7 @@ class TestAgainstOracle:
             if mat_det(E) == 0:
                 continue
             count += 1
-            mapped = bang_from_matrix(
+            mapped = system_from_matrix(
                 E.matmul(system.Q).data, E.matvec(list(system.c))
             )
             assert decide_positive(mapped).verdict == decide_positive(system).verdict

@@ -12,7 +12,6 @@ from orthants import (
     generate_max_rank_orthant,
     generate_simplex,
     interior_point,
-    is_bounded,
     is_nondegenerate,
     recession_rays,
     remove_redundant,
@@ -164,7 +163,7 @@ class TestInterior:
 
 class TestRecession:
     def test_square_bounded(self):
-        assert recession_rays(SQUARE).is_trivial and is_bounded(SQUARE)
+        assert recession_rays(SQUARE).is_trivial and boundedness(SQUARE).is_positive
 
     def test_quadrant_rays(self):
         rays = recession_rays(QUADRANT).rays
@@ -352,7 +351,7 @@ class TestBoundedness:
             P = Polyhedron.from_rows(rows, offsets, ctx)
             if not is_nondegenerate(P):
                 with pytest.raises(DegeneratePolyhedron):
-                    is_bounded(P)
+                    boundedness(P)
                 continue
             bounded = recession_rays(P).is_trivial
             outcome = boundedness(P)
@@ -374,9 +373,9 @@ class TestBoundedness:
         cube = generate_cube(7)
         with pytest.raises(DimensionTooLarge):
             recession_rays(cube)
-        assert is_bounded(cube)
+        assert boundedness(cube).is_positive
         orthant = Polyhedron.from_rows([list(r) for r in cube.A.data[:7]], [0] * 7, EXACT)
-        assert not is_bounded(orthant)
+        assert not boundedness(orthant).is_positive
 
 
 class TestGenerators:

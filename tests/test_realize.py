@@ -35,7 +35,7 @@ from orthants.lp import decide_positive
 from orthants.hedgehogs import _needle
 from orthants.matrix import _primitive_rows, _tol_key, dot, kernel_basis, solve_columns
 from orthants.polyhedra import boundedness
-from conftest import rational_rotation, rotated, shuffled
+from conftest import rational_rotation, rotated, shear, shuffled
 from oracles import functional_minimum, rref_rank, solve_any
 
 FAMILIES = {
@@ -119,16 +119,6 @@ def random_polytope(rng, n):
         offsets = [-rng.randint(1, 3) for _ in range(m)]
         if not vertices_and_rays(rows, offsets)[1]:
             return Polyhedron.from_rows(rows, offsets, EXACT)
-
-
-def shear(n):
-    """The cone 2 x_i - x_j >= 0 over ordered pairs i != j: rays strictly positive."""
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                rows.append([2 if k == i else -1 if k == j else 0 for k in range(n)])
-    return Polyhedron.from_rows(rows, [0] * len(rows), EXACT)
 
 
 TURN = [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
@@ -453,42 +443,53 @@ def test_offsets_match_the_per_row_route():
     assert kinds == {True, False}
 
 
-def test_a_multiplier_that_fails_its_check_is_refused(monkeypatch):
+@pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
+def test_a_multiplier_that_fails_its_check_is_refused(ctx, monkeypatch):
     """Each broken input to _pad_and_embed is refused, naming the multiplier:
     a shifted generator entry (A^T g != e_k), a kernel vector moved off
     A^T y = 0 or moved along it to a zero entry (y > 0 fails), and on an
     unbounded input, where no shift repairs signs, a generator moved along
     the kernel of A^T until an entry is -1, so that A^T g = e_k still holds
-    but lambda_u < 0 for u = e_k."""
+    but lambda_u < 0 for u = e_k.  The broken vectors are made exactly and
+    handed to the float backend as their floats."""
     calls = spy_generators(monkeypatch)
-    for P in (generate_cube(2), shear(3)):
-        E = realize_unbounded(P)
-        aux = [E.A_ext.row(i) for i in range(P.nfacets, E.target_dim)]
+    exact = ctx is EXACT
+
+    def on_ctx(vec):
+        return vec if exact or vec is None else [float(x) for x in vec]
+
+    for exact_P in (generate_cube(2), shear(3)):
+        E = realize_unbounded(exact_P)
         generators, y = calls[-1]
-        assert realize._pad_and_embed(P, aux, generators, y) == E
+        P = exact_P if exact else as_float(exact_P)
+        if not exact:
+            E = realize_unbounded(P)
+        aux = [E.A_ext.row(i) for i in range(P.nfacets, E.target_dim)]
+        assert realize._pad_and_embed(P, aux, *calls[-1]) == E
         shifted = [list(g) for g in generators]
         shifted[0][0] += 1
         broken = [(shifted, y)]
+        At = exact_P.A.transpose()
         if y is not None:
             moved = list(y)
             moved[0] += 1
             # still in the kernel of A^T, but with y_r = 0 the shift for a
             # row with lambda_r < 0 would divide by zero
-            k = kernel_basis(P.A.transpose())[-1]
+            k = kernel_basis(At)[-1]
             r = next(r for r, v in enumerate(k) if v != 0)
             zeroed = [w - y[r] / k[r] * v for w, v in zip(y, k)]
-            assert zeroed[r] == 0 and not any(P.A.transpose().matvec(zeroed))
+            assert zeroed[r] == 0 and not any(At.matvec(zeroed))
             broken += [(generators, moved), (generators, zeroed)]
         else:
-            k = kernel_basis(P.A.transpose())[0]
+            k = kernel_basis(At)[0]
             r = next(r for r, v in enumerate(k) if v != 0)
             c = -(generators[0][r] + 1) / k[r]
             along = [[v + c * w for v, w in zip(generators[0], k)]] + list(generators[1:])
-            assert along[0][r] == -1 and list(P.A.transpose().matvec(along[0])) == [1, 0, 0]
+            assert along[0][r] == -1 and list(At.matvec(along[0])) == [1, 0, 0]
             broken.append((along, y))
         for gens, kernel in broken:
             with pytest.raises(BrokenInvariant, match="multiplier"):
-                realize._pad_and_embed(P, aux, gens, kernel)
+                realize._pad_and_embed(P, aux, [on_ctx(g) for g in gens], on_ctx(kernel))
 
 
 # ---------------------------------------------------------------------------
