@@ -11,7 +11,7 @@ theory by rank, and constructive embeddings into larger orthants.
 
 from .context import Context, EXACT, FLOAT, Scalar
 from .errors import OrthantsError
-from .matrix import Mat, rank, solve_linear, kernel_basis, det
+from .matrix import Mat, rank, solve_linear, kernel_basis
 from .polyhedra import (
     Cone,
     Polyhedron,
@@ -47,7 +47,6 @@ from .planar import Class2D, Verdict2D, classify_2d
 from .simplices import (
     SimplexClass,
     SimplexMetric,
-    cayley_menger_det,
     classify_simplex,
     embed_simplex,
     is_realizable,

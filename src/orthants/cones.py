@@ -4,8 +4,9 @@ A cone spanned by rays embeds isometrically into some nonnegative orthant
 exactly when the Gram matrix of its rays factors as scale * B B^T with B
 entrywise nonnegative (complete positivity).  A cheap necessary condition
 is double nonnegativity: nonnegative entries plus positive
-semidefiniteness.  No search for factorizations is attempted here; only
-certificates are verified, since no general decision procedure is known.
+semidefiniteness, decided by the one LDL^T of ``matrix``.  No search for
+factorizations is attempted here; only certificates are verified, since
+no general decision procedure is known.
 
 Irrational ray coordinates are never stored: users supply float rays or
 the exact Gram matrix directly, and factor matrices may carry a rational
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from .context import Context, Scalar
 from .errors import ShapeMismatch
-from .matrix import Mat, dot
+from .matrix import Mat, _ldl, dot
 from .polyhedra import Cone
 
 
@@ -53,42 +54,11 @@ def gram_from_rays(C: Cone) -> GramMatrix:
 
 
 def is_doubly_nonnegative(G: GramMatrix) -> bool:
-    """Entrywise nonnegative and positive semidefinite.
-
-    Semidefiniteness runs by symmetric elimination on positive diagonal
-    pivots: a PSD matrix may expose a zero diagonal entry only on an
-    all-zero row, and every Schur complement stays PSD, so meeting a
-    negative diagonal or a zero diagonal with a nonzero row refutes.
-    """
+    """Entrywise nonnegative, and positive semidefinite by ``_ldl``."""
     ctx = G.ctx
-    m = G.m
-    for i in range(m):
-        for j in range(m):
-            if ctx.sign(G.G.data[i][j]) < 0:
-                return False
-    a = [list(row) for row in G.G.data]
-    active = list(range(m))
-    while active:
-        pivot = None
-        for i in active:
-            s = ctx.sign(a[i][i])
-            if s < 0:
-                return False
-            if s > 0 and pivot is None:
-                pivot = i
-        if pivot is None:
-            # all remaining diagonals vanish: rows must vanish too
-            return all(
-                ctx.is_zero(a[i][j]) for i in active for j in active
-            )
-        active.remove(pivot)
-        p = a[pivot][pivot]
-        for i in active:
-            f = a[i][pivot] / p
-            if ctx.sign(f) != 0:
-                for j in active:
-                    a[i][j] -= f * a[pivot][j]
-    return True
+    if any(ctx.sign(x) < 0 for row in G.G.data for x in row):
+        return False
+    return _ldl(G.G.data, ctx) is not None
 
 
 def verify_cp_decomposition(G: GramMatrix, B: Mat, sq_scale: Scalar = 1) -> bool:

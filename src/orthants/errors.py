@@ -57,6 +57,10 @@ class NotRealizable(OrthantsError):
     """The squared-distance matrix is not the metric of a nondegenerate simplex."""
 
 
+class OutOfFloatRange(OrthantsError):
+    """A value that must become a float lies beyond float range."""
+
+
 class NotOrthantError(OrthantsError):
     """An orthant-only construction was applied to a non-orthant input."""
 

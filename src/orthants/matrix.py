@@ -1,15 +1,16 @@
 """Dense matrices over a scalar backend.
 
-Rank, pivot columns, solutions, kernels and determinants are all read off
-one Gauss-Jordan reduction, ``_echelon``.  On the exact backend it scales
+Rank, pivot columns, solutions and kernels are all read off one
+Gauss-Jordan reduction, ``_echelon``.  On the exact backend it scales
 each row to integers once and then eliminates fraction-free (Bareiss
 1968): every division is exact and intermediate entries are minors of the
 input, so their size stays polynomial instead of letting denominators
 explode.  A Fraction is built only when a result is read off.  The float
 backend runs the same loop with partial pivoting and a zero tolerance.
 Exact results do not depend on the pivot rule: the rank, the pivot
-columns, the solution with free variables at zero, the kernel basis with
-1 in its free coordinate and the determinant are unique.
+columns, the solution with free variables at zero and the kernel basis
+with 1 in its free coordinate are unique.  Symmetric matrices are factored,
+and tested for semidefiniteness, by one LDL^T, ``_ldl``.
 """
 
 from __future__ import annotations
@@ -139,18 +140,16 @@ def _tol_key(vec: Sequence[Scalar], ctx: Context) -> tuple:
 
 
 def _echelon(M: Mat, rhs: Sequence[Sequence[Scalar]] = (), width: Optional[int] = None):
-    """Gauss-Jordan on [M | rhs columns]: (reduced rows, pivot columns, swap sign, row scale).
+    """Gauss-Jordan on [M | rhs columns]: (reduced rows, pivot columns).
 
     Pivots are searched in the first ``width`` columns (all by default).
     Every pivot column is cleared above and below its pivot, and the k-th
     pivot sits in row k; rows are not normalised.  On the exact backend
-    each row is first scaled to integers (``scale`` is the product of the
-    row scalings; a row of ints as it is) and the reduction is
-    fraction-free: every division is exact, and at the end every pivot
-    entry is the same integer.  The pivot
-    is the first nonzero entry of its column.  On the float backend it is
-    the entry of largest magnitude, and magnitudes at or below ``tol``
-    count as zero.
+    each row is first scaled to integers (a row of ints as it is) and the
+    reduction is fraction-free: every division is exact, and at the end
+    every pivot entry is the same integer.  The pivot is the first nonzero
+    entry of its column.  On the float backend it is the entry of largest
+    magnitude, and magnitudes at or below ``tol`` count as zero.
     """
     ctx = M.ctx
     rows = M.data
@@ -158,22 +157,19 @@ def _echelon(M: Mat, rhs: Sequence[Sequence[Scalar]] = (), width: Optional[int] 
         cols = [[ctx.coerce(b) for b in col] for col in rhs]
         rows = [row + bs for row, bs in zip(rows, zip(*cols))]
     exact = ctx.is_exact
-    scale = 1
     if exact:
         a = []
         for row in rows:
             if all(type(x) is int for x in row):
                 a.append(list(row))
-                continue
-            s = lcm(*(x.denominator for x in row))
-            scale *= s
-            a.append([x.numerator * (s // x.denominator) for x in row])
+            else:
+                s = lcm(*(x.denominator for x in row))
+                a.append([x.numerator * (s // x.denominator) for x in row])
     else:
         a = [list(map(float, row)) for row in rows]
     m = len(a)
     n = (len(a[0]) if m else 0) if width is None else width
     pivots = []
-    sign = 1
     prev = 1
     for col in range(n):
         r = len(pivots)
@@ -187,9 +183,7 @@ def _echelon(M: Mat, rhs: Sequence[Sequence[Scalar]] = (), width: Optional[int] 
                 piv = None
         if piv is None:
             continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            sign = -sign
+        a[r], a[piv] = a[piv], a[r]
         ar = a[r]
         p = ar[col]
         for i in range(m):
@@ -204,7 +198,40 @@ def _echelon(M: Mat, rhs: Sequence[Sequence[Scalar]] = (), width: Optional[int] 
                 a[i] = [x - f * y for x, y in zip(a[i], ar)]
         prev = p
         pivots.append(col)
-    return a, pivots, sign, scale
+    return a, pivots
+
+
+def _ldl(G: Sequence[Sequence[Scalar]], ctx: Context):
+    """(L, D) with G = L diag(D) L^T for a symmetric G, or None when G is
+    not positive semidefinite: a Schur diagonal is negative, or the zero
+    ones sit on a block that is not zero.
+
+    Pivots go in index order past zero Schur diagonals, which never grow
+    again; column k of L is 1 on pivot k and 0 on the earlier ones.  Each
+    entry is read off G and the earlier columns (left-looking), so a
+    positive definite G gets the unit lower triangular L of the textbook loop.
+    """
+    n = len(G)
+    L = [[] for _ in range(n)]
+    D = []
+    zero = []  # indices passed over with a zero Schur diagonal
+
+    def schur(i, j):
+        return G[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(len(D)))
+
+    for p in range(n):
+        d = schur(p, p)
+        if ctx.sign(d) < 0:
+            return None
+        if ctx.sign(d) == 0:
+            zero.append(p)
+            continue
+        for i in range(n):
+            pivoted = i < p and i not in zero
+            L[i].append(ctx.one() if i == p else ctx.zero() if pivoted else schur(i, p) / d)
+        D.append(d)
+    block_is_zero = all(ctx.is_zero(schur(i, j)) for i in zero for j in zero)
+    return (L, D) if block_is_zero else None
 
 
 def _ratio(num, den, ctx: Context) -> Scalar:
@@ -240,7 +267,7 @@ def solve_columns(M: Mat, rhss: Sequence[Sequence[Scalar]]) -> list:
     if any(len(rhs) != M.rows for rhs in rhss):
         raise ShapeMismatch("rhs length")
     ctx, n = M.ctx, M.cols
-    a, pivots, _, _ = _echelon(M, rhss, width=n)
+    a, pivots = _echelon(M, rhss, width=n)
     below = a[len(pivots):]
     out = []
     for k in range(n, n + len(rhss)):
@@ -259,7 +286,7 @@ def _solve_integers(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Option
     common final pivot of the fraction-free reduction; None if inconsistent."""
     n = len(rhs)
     augmented = Mat(tuple((*row, r) for row, r in zip(rows, rhs)), EXACT)
-    a, pivots, _, _ = _echelon(augmented, width=n)
+    a, pivots = _echelon(augmented, width=n)
     if any(row[n] for row in a[len(pivots):]):
         return None
     d = a[0][pivots[0]] if pivots else 1
@@ -277,7 +304,7 @@ def kernel_basis(M: Mat) -> list:
     vector has 1 in its free coordinate, so the basis is deterministic.
     """
     ctx = M.ctx
-    a, pivots, _, _ = _echelon(M)
+    a, pivots = _echelon(M)
     pivot_set = set(pivots)
     basis = []
     for free in range(M.cols):
@@ -290,20 +317,3 @@ def kernel_basis(M: Mat) -> list:
         basis.append(v)
     return basis
 
-
-def det(M: Mat) -> Scalar:
-    """Determinant of a square matrix, read off the echelon pivots."""
-    if M.rows != M.cols:
-        raise ShapeMismatch("det needs a square matrix")
-    if M.rows == 0:
-        return M.ctx.one()
-    a, pivots, sign, scale = _echelon(M)
-    if len(pivots) < M.rows:
-        return M.ctx.zero()
-    if M.ctx.is_exact:
-        # every pivot equals the determinant of the integer-scaled rows
-        return Fraction(sign * a[-1][pivots[-1]], scale)
-    d = float(sign)
-    for row, col in zip(a, pivots):
-        d *= row[col]
-    return d

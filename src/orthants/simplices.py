@@ -19,9 +19,10 @@ distance sqrt(x_i) along the i-th axis, where
 for any two other vertices j, k; orthocentricity makes the choice
 irrelevant and x_i + x_j = d_ij for every pair.
 
-Garbage metric input is rejected by a Cayley-Menger sign gate: the points
-of a nondegenerate k-simplex make the bordered determinant of each vertex
-prefix carry the sign (-1)^k.
+Garbage metric input is rejected by one LDL^T of the edge Gram matrix at
+vertex 0, G_ij = (d_0i + d_0j - d_ij) / 2: it comes from a nondegenerate
+simplex exactly when G is positive definite (Schoenberg 1935), that is
+when all n pivots are positive.  The same factors place the vertices.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from itertools import combinations
 from math import isqrt, sqrt
 
 from .context import Context, EXACT, FLOAT, Scalar
-from .errors import NotOrthantError, NotRealizable, ShapeMismatch
-from .matrix import Mat, det
+from .errors import NotOrthantError, NotRealizable, OutOfFloatRange, ShapeMismatch
+from .matrix import Mat, _ldl
 
 
 class SimplexClass:
@@ -73,25 +74,22 @@ class SimplexMetric:
         return self.d2.data[i][j]
 
 
-def cayley_menger_det(S: SimplexMetric, points) -> Scalar:
-    """Bordered determinant of the chosen vertex subset."""
-    pts = list(points)
-    k = len(pts)
+def _positive_ldl(S: SimplexMetric):
+    """(L, D) of the edge Gram matrix at vertex 0 when it has n positive
+    pivots, else None."""
     ctx = S.ctx
-    rows = [[ctx.zero()] + [ctx.one()] * k]
-    for i in pts:
-        rows.append([ctx.one()] + [S.entry(i, j) for j in pts])
-    return det(Mat.from_rows(rows, ctx))
+    two = ctx.coerce(2)
+    G = [
+        [(S.entry(0, i) + S.entry(0, j) - S.entry(i, j)) / two for j in range(1, S.n + 1)]
+        for i in range(1, S.n + 1)
+    ]
+    factor = _ldl(G, ctx)
+    return factor if factor is not None and len(factor[1]) == S.n else None
 
 
 def is_realizable(S: SimplexMetric) -> bool:
     """True when the metric comes from a nondegenerate simplex."""
-    ctx = S.ctx
-    for k in range(2, S.n + 2):
-        d = cayley_menger_det(S, range(k))
-        if ctx.sign(d) * (1 if k % 2 == 0 else -1) <= 0:
-            return False
-    return True
+    return _positive_ldl(S) is not None
 
 
 def classify_simplex(S: SimplexMetric) -> str:
@@ -143,8 +141,7 @@ def embed_simplex(S: SimplexMetric) -> tuple:
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
+    """The rational square root of x >= 0, or None when there is none."""
     rn, rd = isqrt(x.numerator), isqrt(x.denominator)
     if rn * rn == x.numerator and rd * rd == x.denominator:
         return Fraction(rn, rd)
@@ -154,45 +151,25 @@ def _fraction_sqrt(x: Fraction) -> Fraction | None:
 def metric_coordinates(S: SimplexMetric):
     """Vertex coordinates realizing the metric, with vertex 0 at the origin.
 
-    Performs an LDL factorization of the edge-vector Gram matrix.  On the
-    exact backend the result stays exact when every pivot is a perfect
-    rational square; otherwise coordinates fall back to floats.
-    Returns (vertices, ctx_of_vertices).
+    Vertex i > 0 is row i - 1 of L diag(sqrt(D)), from the LDL^T of the
+    edge Gram matrix.  On the exact backend the result stays exact when
+    every pivot is a perfect rational square; otherwise coordinates fall
+    back to floats.  Returns (vertices, ctx_of_vertices).
     """
-    if not is_realizable(S):
+    factor = _positive_ldl(S)
+    if factor is None:
         raise NotRealizable("not the squared-distance matrix of a simplex")
-    ctx = S.ctx
-    n = S.n
-    two = ctx.coerce(2)
-    G = [
-        [
-            (S.entry(0, i + 1) + S.entry(0, j + 1) - S.entry(i + 1, j + 1)) / two
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    # LDL^T without pivoting; realizability makes G positive definite
-    L = [[ctx.zero()] * n for _ in range(n)]
-    D = [ctx.zero()] * n
-    for j in range(n):
-        D[j] = G[j][j] - sum(L[j][k] * L[j][k] * D[k] for k in range(j))
-        L[j][j] = ctx.one()
-        for i in range(j + 1, n):
-            L[i][j] = (
-                G[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))
-            ) / D[j]
-
-    roots = None
-    if ctx.is_exact:
-        exact_roots = [_fraction_sqrt(d) for d in D]
-        if all(r is not None for r in exact_roots):
-            roots = exact_roots
-            out_ctx = EXACT
-    if roots is None:
-        roots = [sqrt(float(d)) for d in D]
-        L = [[float(v) for v in row] for row in L]
+    L, D = factor
+    roots = [_fraction_sqrt(d) for d in D] if S.ctx.is_exact else None
+    out_ctx = EXACT
+    if roots is None or None in roots:
+        try:
+            roots = [sqrt(float(d)) for d in D]
+            L = [[float(v) for v in row] for row in L]
+        except OverflowError:
+            raise OutOfFloatRange(
+                "metric_coordinates: an LDL^T pivot or factor exceeds float range"
+            ) from None
         out_ctx = FLOAT
-    verts = [tuple(out_ctx.zero() for _ in range(n))]
-    for i in range(n):
-        verts.append(tuple(L[i][k] * roots[k] for k in range(n)))
-    return verts, out_ctx
+    origin = tuple(out_ctx.zero() for _ in range(S.n))
+    return [origin] + [tuple(x * r for x, r in zip(row, roots)) for row in L], out_ctx

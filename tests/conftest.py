@@ -192,3 +192,83 @@ def weighting_normal_sets():
     sets.append(("huge", [[huge, 0], [0, 1], [-1, -1]]))
     sets.append(("tiny", [[tiny, 1], [1, 0], [-1, -1]]))
     return sets
+
+
+def _squared_distances(verts):
+    return [[sum((a - b) ** 2 for a, b in zip(u, v)) for v in verts] for u in verts]
+
+
+def seeded_metrics():
+    """(name, d2) squared-distance matrices in Fractions on 2-5 vertices:
+    seeded integer vertex sets, sets on a hyperplane (degenerate) and the
+    same sets with one vertex moved off it by 1/1000 or 1/10^6 (near
+    degenerate), axis simplices d2_ij = a_i^2 + a_j^2 with one entry moved
+    or not, and positive symmetric matrices that are no metrics."""
+    rng = random.Random(1935)
+    out = []
+    for k in range(80):
+        dim = 1 + k % 4
+        verts = [[Fraction(rng.randint(-4, 4)) for _ in range(dim)] for _ in range(dim + 1)]
+        out.append((f"vertices {k}", _squared_distances(verts)))
+        # dim + 1 points on the hyperplane x_0 = c
+        flat = [[verts[0][0]] + v[1:] for v in verts]
+        out.append((f"flat {k}", _squared_distances(flat)))
+        for eps in (Fraction(1, 1000), Fraction(1, 10**6)):
+            near = [list(v) for v in flat]
+            near[-1][0] += eps
+            out.append((f"near {k} {eps}", _squared_distances(near)))
+    for k in range(40):
+        alphas = [rand_positive_frac(rng) for _ in range(2 + k % 4)]
+        d2 = [[0 if i == j else a * a + b * b for j, b in enumerate(alphas)]
+              for i, a in enumerate(alphas)]
+        if k % 2 and len(alphas) > 2:
+            d2[0][1] = d2[1][0] = d2[0][1] + rand_positive_frac(rng)
+        out.append((f"axis {k}", d2))
+    for k in range(40):
+        size = 2 + k % 4
+        d2 = [[0] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                d2[i][j] = d2[j][i] = Fraction(rng.randint(1, 9))
+        out.append((f"symmetric {k}", d2))
+    return out
+
+
+def seeded_grams():
+    """(name, G) symmetric Fraction matrices with positive diagonal on 1-5
+    generators: B B^T for B with entries in [0, 3] or [-1, 3] (PSD, singular
+    when B has fewer columns than rows) and symmetric nonnegative matrices,
+    most of them not PSD."""
+    rng = random.Random(1936)
+    out = []
+    for k in range(120):
+        m, kind = 1 + k % 5, k % 3
+        if kind < 2:
+            cols = rng.randint(1, m + 1)
+            B = [[0] * cols]
+            while not all(map(any, B)):
+                B = [[rand_frac(rng, -kind, 3, 2) for _ in range(cols)] for _ in range(m)]
+            G = [[sum(a * b for a, b in zip(u, v)) for v in B] for u in B]
+        else:
+            G = [[Fraction(0)] * m for _ in range(m)]
+            for i in range(m):
+                G[i][i] = rand_positive_frac(rng, 6, 3)
+                for j in range(i + 1, m):
+                    G[i][j] = G[j][i] = rand_frac(rng, 0, 5, 3)
+        out.append((f"gram {k}", G))
+    return out
+
+
+def seeded_intercepts():
+    """(name, intercepts) as scalar strings: four whose simplex has exact
+    coordinates, then 2-5 intercepts p/q with 1 <= p, q <= 9, some of them
+    perfect squares."""
+    rng = random.Random(1937)
+    out = [(f"exact {k}", alphas) for k, alphas in enumerate(
+        [["3", "4"], ["5/2", "6"], ["3", "4", "7"], ["6/5", "8/5", "9/5"]])]
+    for k in range(60):
+        alphas = [rand_positive_frac(rng) for _ in range(2 + k % 4)]
+        if k % 3 == 0:
+            alphas = [a * a for a in alphas]
+        out.append((f"intercepts {k}", [str(a) for a in alphas]))
+    return out

@@ -5,7 +5,8 @@ math.isqrt only), so agreement with the library is a genuine two-route
 check: plain rational row reduction for ranks, solutions and kernels, the
 split tree of a positive weighting for basic decompositions, the
 permutation expansion for determinants, Sylvester's principal minors for
-semidefiniteness, the Fraction definition of the canonical rows of a
+semidefiniteness, the signs of Cayley-Menger determinants for simplex
+metrics, the Fraction definition of the canonical rows of a
 hedgehog, the weighting matrix Q and the re-check of a positivity
 outcome by their Fraction definitions, and Fourier-Motzkin
 elimination for three questions: does Q t = c have a strictly positive
@@ -287,6 +288,18 @@ def positive_semidefinite(rows):
         for size in range(1, m + 1)
         for subset in combinations(range(m), size)
     )
+
+
+def cayley_menger_realizable(d2):
+    """d2 is the squared-distance matrix of a nondegenerate simplex: for
+    every vertex prefix of k >= 2 points the bordered determinant
+    [[0, 1^T], [1, d2_prefix]] carries the sign (-1)^k, each by the
+    permutation expansion."""
+    for k in range(2, len(d2) + 1):
+        bordered = [[0] + [1] * k] + [[1] + list(d2[i][:k]) for i in range(k)]
+        if permutation_det(bordered) * (-1) ** k <= 0:
+            return False
+    return True
 
 
 def doubly_nonnegative(rows):

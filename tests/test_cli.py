@@ -14,7 +14,9 @@ from itertools import cycle
 
 import pytest
 
-from conftest import cayley, rational_rotation, rotated, shear
+from conftest import (
+    cayley, rational_rotation, rotated, seeded_grams, seeded_intercepts, seeded_metrics, shear,
+)
 from oracles import rref_rank
 from orthants import (
     Embedding,
@@ -390,10 +392,11 @@ def test_success_writes_the_report_and_one_timed_summary_line(
         (["--backend", "float", "--tol", "0", "rank", "-"], SQUARE),
         (["gen", "cube"], ""),
         (["--backend", "quad", "rank", "-"], SQUARE),
+        (["gen", "simplex", "2e200", "3e200", "5e200"], ""),
     ],
     ids=["not-json", "missing-file", "zero-row", "classify2d-3d", "short-metric",
          "degenerate", "embed-not-orthant", "not-an-object", "gen-size-x",
-         "missing-factor", "tol-0", "gen-no-size", "backend-quad"],
+         "missing-factor", "tol-0", "gen-no-size", "backend-quad", "gen-simplex-overflow"],
 )
 def test_failure_leaves_stdout_empty_and_writes_one_error_line(
     argv, stdin, monkeypatch, capsys, tmp_path
@@ -403,6 +406,21 @@ def test_failure_leaves_stdout_empty_and_writes_one_error_line(
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+def test_float_simplex_test_compares_squared_lengths_with_tol(monkeypatch, capsys):
+    # a regular tetrahedron with squared edge 10^-4, and the simplex on four
+    # intercepts of 0.01: their LDL^T pivots are near 10^-4, far above tol,
+    # though a Cayley-Menger determinant of four vertices is near 10^-12
+    d2 = ["0" if i == j else "1e-4" for i in range(4) for j in range(4)]
+    tiny = json.dumps({"dim": 3, "d2": d2})
+    code, out = in_process(monkeypatch, capsys, "--backend", "float", "simplex", "-", stdin=tiny)
+    assert code == 0
+    assert json.loads(out) == {"command": "simplex", "backend": "float",
+                               "verdict": "OrthantAcuteOrthocentric", "x": ["5e-05"] * 4}
+    code, out = in_process(monkeypatch, capsys, "--backend", "float", "gen", "simplex",
+                           "0.01", "0.01", "0.01", "0.01")
+    assert code == 0 and json.loads(out)["dim"] == 3 and len(json.loads(out)["rows"]) == 4
 
 
 def test_only_cli_main_writes_to_the_standard_streams():
@@ -527,6 +545,49 @@ def test_float_stdout_and_exit_codes_match_their_digest(command, monkeypatch, ca
         code, out = in_process(monkeypatch, capsys, "--backend", "float", command, "-", stdin=text)
         h.update(f"{name}\n{code}\n{out}".encode())
     assert h.hexdigest() == FLOAT_STDOUT_DIGESTS[command]
+
+
+def flat_strings(rows):
+    return [str(x) for row in rows for x in row]
+
+
+def metric_command_inputs(command):
+    """(name, argv tail, stdin) of ``simplex``, ``cone`` or ``gen simplex`` on
+    the seeded metrics, Grams and intercepts of conftest."""
+    if command == "simplex":
+        return [(name, ["-"], json.dumps({"dim": len(d2) - 1, "d2": flat_strings(d2)}))
+                for name, d2 in seeded_metrics()]
+    if command == "cone":
+        return [(name, ["-"], json.dumps({"m": len(G), "g": flat_strings(G)}))
+                for name, G in seeded_grams()]
+    return [(name, params, "") for name, params in seeded_intercepts()]
+
+
+# sha256 over "<name>\n<exit code>\n<stdout>" of each command on every input of
+# metric_command_inputs(), plus the error line on exit 2; recorded while the
+# simplex test still read Cayley-Menger determinants
+METRIC_STDOUT_DIGESTS = {
+    "exact simplex": "182bfb2ece17f020b8257e7b70da29f76f641cc9cdbb364382adae2e98b36243",
+    "float simplex": "05841ee787a1f511cb86cb9b54889e7a47db5faca7a632dec89abc457416b5ae",
+    "exact cone": "8a11d5c7402d95fbe3a1f408f0f4d1e17638b383f24fdd41a7c758d3373b6cf1",
+    "float cone": "7dd4bd4cd70dc8a291dd48a9267e5fdb8916450b97ffd61b638c9d947654166f",
+    "exact gen simplex": "34c711620a0b93a1a8ccd2f32f5dcc1833bf02edb74f632ca5dfea8530758fdc",
+    "float gen simplex": "a2cd609a576a4f127f65d0f0fea6607deaa4c10f2f6f42f2f3983dff99e84c60",
+}
+
+
+@pytest.mark.parametrize("command", sorted(METRIC_STDOUT_DIGESTS))
+def test_metric_commands_match_their_digest(command, monkeypatch, capsys):
+    backend, command_name = command.split(" ", 1)
+    h = hashlib.sha256()
+    for name, tail, text in metric_command_inputs(command_name):
+        code, out, err = in_process_streams(
+            monkeypatch, capsys, "--backend", backend, *command_name.split(), *tail, stdin=text
+        )
+        h.update(f"{name}\n{code}\n{out}".encode())
+        if code == 2:
+            h.update(err.splitlines()[0].encode())
+    assert h.hexdigest() == METRIC_STDOUT_DIGESTS[command]
 
 
 def unbounded_digest_inputs():

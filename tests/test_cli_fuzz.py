@@ -1,10 +1,13 @@
-"""The CLI contract under generated input: every file-reading subcommand, on
-both backends, answers with exit code 0, 1 or 2 and raises nothing; exit 2
-leaves stdout empty and writes one ``error:`` line to stderr.
+"""The CLI contract under generated input: every file-reading subcommand and
+``gen``, on both backends, answers with exit code 0, 1 or 2 and raises
+nothing; exit 2 leaves stdout empty and writes one ``error:`` line to stderr.
 
 A generated document is well formed, or has one defect: a bad or huge
 scalar literal or a JSON value that is no string, a missing key, a bad dimension,
-a stray ``"backend"`` field, or text that is no JSON object."""
+a stray ``"backend"`` field, or text that is no JSON object.  A generated
+``gen`` call has a size up to 4 or a malformed one, or simplex intercepts
+that are positive, malformed, or so large that their squares leave float
+range."""
 
 import io
 import json
@@ -33,6 +36,7 @@ BAD_SCALARS = st.one_of(
 )
 BAD_SIZES = st.sampled_from([-1, 0, 4, "2", 2.5, None, "x", [2], True])
 NOT_AN_OBJECT = st.sampled_from(["", "{", "[]", "3", '"x"', "null", "{}"])
+HUGE = st.sampled_from(["2e200", "3e200", "5e200", "1e300", "-2e200", "1e-200"])
 
 
 def leaves(doc, path=()):
@@ -140,6 +144,19 @@ def calls(draw):
     return argv + [command], text, factor
 
 
+@st.composite
+def gen_calls(draw):
+    """argv of one ``gen`` call: one or two sizes for cube, cross and endgo,
+    one to four intercepts for simplex."""
+    argv = ["--backend", draw(st.sampled_from(["exact", "float"])), "gen"]
+    kind = draw(st.sampled_from(["cube", "cross", "endgo", "simplex"]))
+    if kind == "simplex":
+        params = st.lists(st.one_of(POSITIVE, BAD_SCALARS.map(str), HUGE), min_size=1, max_size=4)
+    else:
+        params = st.lists(st.one_of(st.integers(1, 4), BAD_SIZES).map(str), min_size=1, max_size=2)
+    return argv + [kind] + draw(params)
+
+
 def run(argv, text):
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
@@ -163,6 +180,16 @@ def test_generated_documents_keep_the_cli_contract(call):
                 fh.write(factor)
             argv = argv + ["--cp", path]
         code, out, err = run(argv + ["-"], text)
+    assert_contract(code, out, err)
+
+
+@given(gen_calls())
+@settings(max_examples=500, deadline=None)
+def test_generator_calls_keep_the_cli_contract(argv):
+    assert_contract(*run(argv, ""))
+
+
+def assert_contract(code, out, err):
     assert code in (0, 1, 2)
     assert err.count("\n") == 1 and err.endswith("\n"), err
     if code == 2:

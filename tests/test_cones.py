@@ -1,7 +1,7 @@
 """Double nonnegativity against Sylvester's principal-minor test.
 
-``is_doubly_nonnegative`` decides semidefiniteness by symmetric
-elimination; the oracle expands every principal minor by permutations.
+``is_doubly_nonnegative`` decides semidefiniteness by the one LDL^T of
+``matrix._ldl``; the oracle expands every principal minor by permutations.
 """
 
 import collections

@@ -17,11 +17,11 @@ except ImportError:  # only the @given tests need hypothesis; they skip
 
     settings = given
 
-from orthants import Mat, det, kernel_basis, rank, solve_linear
+from orthants import Mat, kernel_basis, rank, solve_linear
 from orthants.context import EXACT, FLOAT
-from orthants.matrix import pivot_columns, solve_columns
-from oracles import permutation_det, rref_rank, solve_any
-from conftest import rand_frac
+from orthants.matrix import _ldl, pivot_columns, solve_columns
+from oracles import positive_semidefinite, rref_rank, solve_any
+from conftest import rand_frac, seeded_grams
 
 fractions_st = st.fractions(
     min_value=-9, max_value=9, max_denominator=9
@@ -153,18 +153,10 @@ class TestSolve:
         assert len(kernel_basis(M)) == M.cols - rank(M)
 
 
-class TestDetInverse:
-    def test_det_known(self):
-        assert det(Mat.from_rows([[1, 2], [3, 4]], EXACT)) == -2
-        assert det(Mat.from_rows([[Fraction(1, 2), 0], [7, 4]], EXACT)) == 2
-
-    def test_det_singular(self):
-        assert det(Mat.from_rows([[1, 2], [2, 4]], EXACT)) == 0
-
-
 class TestEchelonKernel:
-    """rank, solve_linear, kernel_basis and det share one elimination; each
-    is checked against the oracles on rank-deficient fractional matrices."""
+    """rank, solve_linear and kernel_basis share one elimination; each is
+    checked against the oracles on rank-deficient fractional matrices, and
+    rank also on square ones, most of them nonsingular."""
 
     def test_exact_results_match_oracles(self):
         rng = random.Random(2024)
@@ -187,7 +179,7 @@ class TestEchelonKernel:
             square = [row[:k] for row in rows[:k]]
             if rng.random() < 0.5:
                 square = [[rand_frac(rng) for _ in range(k)] for _ in range(k)]
-            assert det(Mat.from_rows(square, EXACT)) == permutation_det(square)
+            assert rank(Mat.from_rows(square, EXACT)) == rref_rank(square)
 
     def test_solve_columns_against_the_oracle(self):
         # consistent and inconsistent right-hand sides share one pass and
@@ -231,5 +223,36 @@ class TestEchelonKernel:
             assert all(map(close, solve_linear(F, rhs), solve_linear(E, rhs)))
             for u, v in zip(kernel_basis(F), kernel_basis(E), strict=True):
                 assert all(map(close, u, v))
-            D = [row[:m] for row in rows]
-            assert close(det(Mat.from_rows(D, FLOAT)), det(Mat.from_rows(D, EXACT)))
+
+
+class TestLdl:
+    """The symmetric elimination against Sylvester's principal minors."""
+
+    def test_factors_exactly_the_semidefinite_grams(self):
+        factored = 0
+        for name, G in seeded_grams():
+            factor = _ldl(G, EXACT)
+            assert (factor is not None) == positive_semidefinite(G), name
+            if factor is None:
+                continue
+            factored += 1
+            L, D = factor
+            assert all(d > 0 for d in D)
+            assert [[sum(a * d * b for a, d, b in zip(u, D, v)) for v in L] for u in L] == G
+            assert rank(Mat.from_rows(G, EXACT)) == len(D)
+        assert 10 <= factored <= len(seeded_grams()) - 10
+
+    def test_positive_definite_pivots_in_index_order(self):
+        # L unit lower triangular with all n pivots positive
+        L, D = _ldl(fractions([[4, 2, 2], [2, 5, 3], [2, 3, 6]]), EXACT)
+        half = Fraction(1, 2)
+        assert D == [4, 4, 4] and L == [[1, 0, 0], [half, 1, 0], [half, half, 1]]
+
+    def test_zero_diagonals_refute_only_a_nonzero_block(self):
+        assert _ldl(fractions([[0, 0], [0, 1]]), EXACT) == ([[0], [1]], [1])
+        assert _ldl(fractions([[0, 1], [1, 0]]), EXACT) is None
+        assert _ldl([[1e-12, 0.0], [0.0, 1.0]], FLOAT) == ([[0.0], [1.0]], [1.0])
+
+
+def fractions(rows):
+    return [[Fraction(x) for x in row] for row in rows]

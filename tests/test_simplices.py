@@ -1,15 +1,20 @@
 """The simplex metric test against the weighting-system LP.
 
-``classify_simplex`` decides from squared edge lengths alone (Cayley-Menger
-signs, orthocentricity, acuteness).  The second route builds the simplex
-from its vertices and asks ``decide_positive`` whether its weighting system
-has a strictly positive solution.  An n-simplex is an orthant section
-exactly when both say so.
+``classify_simplex`` decides from squared edge lengths alone (n positive
+LDL^T pivots of the edge Gram matrix, orthocentricity, acuteness).  The
+second route builds the simplex from its vertices and asks
+``decide_positive`` whether its weighting system has a strictly positive
+solution.  An n-simplex is an orthant section exactly when both say so.
+``is_realizable`` is also checked against the signs of Cayley-Menger
+determinants.
 """
 
+import collections
 import random
 from fractions import Fraction
 from math import lcm
+
+import pytest
 
 from orthants import (
     SimplexClass,
@@ -18,11 +23,14 @@ from orthants import (
     classify_simplex,
     decide_positive,
     embed_simplex,
+    generate_simplex,
     is_realizable,
     simplex_from_vertices,
 )
 from orthants.context import EXACT
-from oracles import rref_rank, squared_distance
+from orthants.errors import OutOfFloatRange
+from oracles import cayley_menger_realizable, rref_rank, squared_distance
+from conftest import seeded_metrics
 
 
 def _sub(u, v):
@@ -132,6 +140,20 @@ class TestRealizable:
                         verts.append(p)
                 assert not is_realizable(_metric(verts))
 
+    def test_matches_the_cayley_menger_route(self):
+        # the seeded metrics whose off-diagonal entries are all positive:
+        # vertex sets, degenerate and near-degenerate ones, axis simplices
+        # and positive symmetric matrices that are no metrics
+        seen = collections.Counter()
+        for name, d2 in seeded_metrics():
+            if any(x <= 0 for i, row in enumerate(d2) for j, x in enumerate(row) if i != j):
+                continue
+            expected = cayley_menger_realizable(d2)
+            S = SimplexMetric.from_squared_distances(d2, EXACT)
+            assert is_realizable(S) == expected, name
+            seen[expected, S.n] += 1
+        assert all(seen[verdict, n] >= 5 for verdict in (True, False) for n in (2, 3, 4)), seen
+
 
 def test_a_segment_embeds_by_halving_its_squared_length():
     # no third vertex fixes the split x_0 + x_1 = d2_01; the halves are one
@@ -140,3 +162,10 @@ def test_a_segment_embeds_by_halving_its_squared_length():
     S = SimplexMetric.from_squared_distances([[0, 3], [3, 0]], EXACT)
     assert classify_simplex(S) == SimplexClass.ORTHANT_ACUTE_ORTHOCENTRIC
     assert embed_simplex(S) == (Fraction(3, 2), Fraction(3, 2))
+
+
+def test_coordinates_beyond_float_range_raise_a_typed_error():
+    # exact pivots near 10^401 are no rational squares, and a float cannot
+    # hold them
+    with pytest.raises(OutOfFloatRange, match="metric_coordinates"):
+        generate_simplex([Fraction(2 * 10**200), Fraction(3 * 10**200), Fraction(5 * 10**200)])
