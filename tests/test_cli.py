@@ -629,6 +629,25 @@ def test_unbounded_realize_matches_its_digest(backend, monkeypatch, capsys):
     assert h.hexdigest() == UNBOUNDED_REALIZE_DIGESTS[backend]
 
 
+# sha256 over "<case>\n<exit code>\n<stdout>" of `gen <kind> <n> | <command>`:
+# larger and sparser proof blocks than digest_inputs() reaches; recorded
+# before the exact elimination went forward-only on primitive rows
+SCALE_DIGESTS = {
+    "cube 16 realize": "7c627ed5fe4327d387e84505e13c65fac274c0be4a653da9f957a6a671f1e716",
+    "endgo 8 decompose": "00f98b5efcf46f089c9ce9d8b3ba52ef285a0e301aab9edeb963b65db93a150d",
+    "cross 7 is-orthant": "bd90e0e5ad9d667d1740eafa71f0b3ba7f30921079b2c70c480aa96a166ef520",
+    "cross 7 rank": "0ad513eeb1f1b8bdae007cbf5df17c1aa544059733c5a670b06b141898aef054",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALE_DIGESTS))
+def test_scale_outputs_match_their_digest(case, monkeypatch, capsys):
+    kind, n, command = case.split()
+    _, text = in_process(monkeypatch, capsys, "gen", kind, n)
+    code, out = in_process(monkeypatch, capsys, command, "-", stdin=text)
+    assert hashlib.sha256(f"{case}\n{code}\n{out}".encode()).hexdigest() == SCALE_DIGESTS[case]
+
+
 # ten Cayley rotations: every family at n = 3, 4 and 5, then cube 3 again
 FLOAT_ROTATIONS = [
     (kind, 3 + seed // 3 % 3, seed) for seed, kind in zip(range(10), cycle(FAMILIES))
