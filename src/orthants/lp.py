@@ -8,14 +8,15 @@ Wolter 2016): the simplex first runs on float copies of the data, and only
 its final basis is kept.  Exact data is integer columns over one
 denominator each, and the float copy is their int/int quotients.  A basic
 artificial column is a unit vector e_k, so it touches row k alone: two
-fraction-free solves on the k x k block of the k structural basic columns
-give the primal point and the dual vector over a common denominator.  The
-answer is accepted only when they pass the integer optimality or Farkas
-checks, which run on every row and column of the LP; Fractions are built
-only for the answer.  Whenever the float run or a check fails, the same
-LP runs through the exact Bland simplex, which terminates in exact
-arithmetic and is the reference route.  No float number reaches an exact
-answer.  The float backend runs the simplex once, in floats.
+exact integer solves on the k x k block of the k structural basic columns
+give the primal point and the dual vector, each over its least common
+denominator (``matrix._solve_integers``).  The answer is accepted only
+when they pass the integer optimality or Farkas checks, which run on
+every row and column of the LP; Fractions are built only for the answer.
+Whenever the float run or a check fails, the same LP runs through the
+exact Bland simplex, which terminates in exact arithmetic and is the
+reference route.  No float number reaches an exact answer.  The float
+backend runs the simplex once, in floats.
 
 Every outcome carries an exactly checkable object: an optimal point with
 its dual vector, a Farkas ray proving infeasibility, or an improving ray
@@ -339,8 +340,10 @@ def _prove_basis(A_rows, b, c, status, basis, flip):
     of column j's scale), b~ = beta b and c~_j = gamma c_j sigma_j.
     Column n+k of the basis is the artificial flip[k] e_k, which touches row
     k alone.  So with S the k structural basic columns and R the k rows that
-    no basic artificial covers, both solves run on the k x k block A~_RS,
-    fraction-free, with free variables at zero as before scaling.
+    no basic artificial covers, both solves run on the k x k block A~_RS
+    by ``_solve_integers``: forward elimination on primitive integer rows,
+    then integer back substitution over the least common denominator, with
+    free variables at zero as before scaling.
 
     Primal: A~_RS z = b~_R gives z_S = Z / D.  The basic artificials then
     hold b~_k - A~_kS z_S on their rows, so the check A~ Z = b~ D over all

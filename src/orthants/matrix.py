@@ -1,16 +1,19 @@
 """Dense matrices over a scalar backend.
 
 Rank, pivot columns, solutions and kernels are all read off one
-Gauss-Jordan reduction, ``_echelon``.  On the exact backend it scales
-each row to integers once and then eliminates fraction-free (Bareiss
-1968): every division is exact and intermediate entries are minors of the
-input, so their size stays polynomial instead of letting denominators
-explode.  A Fraction is built only when a result is read off.  The float
-backend runs the same loop with partial pivoting and a zero tolerance.
-Exact results do not depend on the pivot rule: the rank, the pivot
-columns, the solution with free variables at zero and the kernel basis
-with 1 in its free coordinate are unique.  Symmetric matrices are factored,
-and tested for semidefiniteness, by one LDL^T, ``_ldl``.
+elimination, ``_echelon``.  On the exact backend it scales each row to a
+primitive integer row once and then eliminates forward only, updating just
+the rows below a pivot with a nonzero in its column and dividing each by
+its content: every row stays an integer divisor of its fraction-free
+(Bareiss 1968) counterpart, so no entry outgrows a minor of the input and
+denominators never explode.  Solutions are back-substituted in integers
+over their least common denominator, and a Fraction is built only when a
+result is read off.  The float backend runs Gauss-Jordan with partial
+pivoting and a zero tolerance.  Exact results do not depend on the pivot
+rule: the rank, the pivot columns, the solution with free variables at
+zero and the kernel basis with 1 in its free coordinate are unique.
+Symmetric matrices are factored, and tested for semidefiniteness, by one
+LDL^T, ``_ldl``.
 """
 
 from __future__ import annotations
@@ -118,7 +121,7 @@ def primitive(vec: Sequence[Fraction]) -> tuple:
 
 def _numerators(vectors, ctx: Context) -> tuple:
     """(numerators, d): exact vectors as integers over their least common
-    denominator d, as ``_echelon`` scales; float vectors as they are, over 1."""
+    denominator d; float vectors as they are, over 1."""
     if not ctx.is_exact:
         return [list(v) for v in vectors], 1
     d = lcm(*(x.denominator for v in vectors for x in v))
@@ -139,17 +142,28 @@ def _tol_key(vec: Sequence[Scalar], ctx: Context) -> tuple:
     return tuple(vec) if ctx.is_exact else tuple(round(float(x) / ctx.tol) for x in vec)
 
 
-def _echelon(M: Mat, rhs: Sequence[Sequence[Scalar]] = (), width: Optional[int] = None):
-    """Gauss-Jordan on [M | rhs columns]: (reduced rows, pivot columns).
+def _primitive_ints(v: list) -> list:
+    """The integer list v divided by its content; a zero list as it is."""
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
 
-    Pivots are searched in the first ``width`` columns (all by default).
-    Every pivot column is cleared above and below its pivot, and the k-th
-    pivot sits in row k; rows are not normalised.  On the exact backend
-    each row is first scaled to integers (a row of ints as it is) and the
-    reduction is fraction-free: every division is exact, and at the end
-    every pivot entry is the same integer.  The pivot is the first nonzero
-    entry of its column.  On the float backend it is the entry of largest
-    magnitude, and magnitudes at or below ``tol`` count as zero.
+
+def _echelon(M: Mat, rhs: Sequence[Sequence[Scalar]] = (), width: Optional[int] = None):
+    """Row echelon form of [M | rhs columns]: (rows, pivot columns).
+
+    Pivots are searched in the first ``width`` columns (all by default), and
+    the k-th pivot sits in row k.  On the exact backend each row is scaled
+    to a primitive integer row and elimination runs forward only.  The pivot
+    is the first nonzero entry p of its column.  A row below it with f != 0
+    there becomes (p/g) row - (f/g) pivot row, g = gcd(p, f), from the
+    pivot column on, and is divided by its content; a row with f = 0 and the
+    rows above the pivot are not touched.  Each row lies on the line of its
+    fraction-free (Bareiss 1968) counterpart and is primitive, so it is an
+    integer divisor of that row: no entry outgrows a minor of the input.
+    Solutions are read off by ``_back_substitute``.  On the float backend
+    the loop is Gauss-Jordan: the pivot is the entry of largest magnitude,
+    magnitudes at or below ``tol`` count as zero, and every pivot column is
+    cleared above and below its pivot.
     """
     ctx = M.ctx
     rows = M.data
@@ -160,17 +174,15 @@ def _echelon(M: Mat, rhs: Sequence[Sequence[Scalar]] = (), width: Optional[int] 
     if exact:
         a = []
         for row in rows:
-            if all(type(x) is int for x in row):
-                a.append(list(row))
-            else:
+            if not all(type(x) is int for x in row):
                 s = lcm(*(x.denominator for x in row))
-                a.append([x.numerator * (s // x.denominator) for x in row])
+                row = [x.numerator * (s // x.denominator) for x in row]
+            a.append(_primitive_ints(list(row)))
     else:
         a = [list(map(float, row)) for row in rows]
     m = len(a)
     n = (len(a[0]) if m else 0) if width is None else width
     pivots = []
-    prev = 1
     for col in range(n):
         r = len(pivots)
         if r == m:
@@ -186,19 +198,60 @@ def _echelon(M: Mat, rhs: Sequence[Sequence[Scalar]] = (), width: Optional[int] 
         a[r], a[piv] = a[piv], a[r]
         ar = a[r]
         p = ar[col]
-        for i in range(m):
-            if i == r:
-                continue
-            f = a[i][col]
-            if exact:
-                # exact by the Bareiss identity: entries stay minors of the input
-                a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], ar)]
-            elif f:
-                f /= p
-                a[i] = [x - f * y for x, y in zip(a[i], ar)]
-        prev = p
+        if exact:
+            tail = ar[col:]
+            for ai in a[r + 1:]:
+                f = ai[col]
+                if f:
+                    g = gcd(p, f)
+                    pg, fg = p // g, f // g
+                    ai[col:] = _primitive_ints([x * pg - fg * y for x, y in zip(ai[col:], tail)])
+        else:
+            for i in range(m):
+                f = a[i][col]
+                if i != r and f:
+                    f /= p
+                    a[i] = [x - f * y for x, y in zip(a[i], ar)]
         pivots.append(col)
     return a, pivots
+
+
+def _back_substitute(a: list, pivots: list, k: int) -> tuple:
+    """(X, d): the exact echelon rows ``a`` solved against their column k,
+    free variables at 0, as x at pivots[i] = X[i] / d.
+
+    Rows go bottom up over one common denominator d > 0, which is always
+    the lcm of the reduced denominators met so far: it ends as the least
+    common denominator of the solution, a divisor of the fraction-free
+    final pivot.
+    """
+    X = [0] * len(pivots)
+    d = 1
+    for i in range(len(pivots) - 1, -1, -1):
+        row = a[i]
+        s = row[k] * d - sum(row[c] * x for c, x in zip(pivots[i + 1:], X[i + 1:]) if x)
+        if not s:
+            continue
+        q = row[pivots[i]] * d
+        g = gcd(s, q) if q > 0 else -gcd(s, q)
+        s, q = s // g, q // g  # x = s / q in lowest terms, q > 0
+        grow = q // gcd(d, q)
+        if grow > 1:
+            X[i + 1:] = [x * grow for x in X[i + 1:]]
+            d *= grow
+        X[i] = s * (d // q)
+    return X, d
+
+
+def _pivot_values(a: list, pivots: list, k: int, ctx: Context) -> list:
+    """The pivot variables of the echelon rows ``a`` solved against their
+    column k, free variables at 0: by ``_back_substitute`` on the exact
+    backend, one quotient per row on the float one, whose rows are cleared
+    above and below their pivots."""
+    if ctx.is_exact:
+        X, d = _back_substitute(a, pivots, k)
+        return [Fraction(v, d) for v in X]
+    return [row[k] / row[col] for row, col in zip(a, pivots)]
 
 
 def _ldl(G: Sequence[Sequence[Scalar]], ctx: Context):
@@ -235,7 +288,7 @@ def _ldl(G: Sequence[Sequence[Scalar]], ctx: Context):
 
 
 def _ratio(num, den, ctx: Context) -> Scalar:
-    """num / den of two echelon entries, as a backend scalar."""
+    """num / den as a backend scalar: an exact Fraction or a float quotient."""
     return Fraction(num, den) if ctx.is_exact else num / den
 
 
@@ -245,7 +298,7 @@ def pivot_columns(M: Mat) -> list:
 
 
 def rank(M: Mat) -> int:
-    """Rank of M; fraction-free elimination on the exact backend."""
+    """Rank of M; forward elimination on primitive rows on the exact backend."""
     return len(pivot_columns(M))
 
 
@@ -275,30 +328,29 @@ def solve_columns(M: Mat, rhss: Sequence[Sequence[Scalar]]) -> list:
             out.append(None)
             continue
         x = [ctx.zero()] * n
-        for row, col in zip(a, pivots):
-            x[col] = _ratio(row[k], row[col], ctx)
+        for col, v in zip(pivots, _pivot_values(a, pivots, k, ctx)):
+            x[col] = v
         out.append(x)
     return out
 
 
 def _solve_integers(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[tuple]:
     """solve_linear for a square integer system as (numerators, d > 0), d the
-    common final pivot of the fraction-free reduction; None if inconsistent."""
+    least common denominator of the solution; None if inconsistent."""
     n = len(rhs)
     augmented = Mat(tuple((*row, r) for row, r in zip(rows, rhs)), EXACT)
     a, pivots = _echelon(augmented, width=n)
     if any(row[n] for row in a[len(pivots):]):
         return None
-    d = a[0][pivots[0]] if pivots else 1
-    s = 1 if d > 0 else -1
+    X, d = _back_substitute(a, pivots, n)
     x = [0] * n
-    for row, col in zip(a, pivots):
-        x[col] = s * row[n]
-    return x, s * d
+    for col, v in zip(pivots, X):
+        x[col] = v
+    return x, d
 
 
 def kernel_basis(M: Mat) -> list:
-    """Canonical basis of the nullspace from the reduced echelon form.
+    """Canonical basis of the nullspace, read off the echelon form.
 
     One basis vector per free column, ordered by free-column index; the
     vector has 1 in its free coordinate, so the basis is deterministic.
@@ -312,8 +364,8 @@ def kernel_basis(M: Mat) -> list:
             continue
         v = [ctx.zero()] * M.cols
         v[free] = ctx.one()
-        for row, pc in zip(a, pivots):
-            v[pc] = -_ratio(row[free], row[pc], ctx)
+        for pc, x in zip(pivots, _pivot_values(a, pivots, free, ctx)):
+            v[pc] = -x
         basis.append(v)
     return basis
 

@@ -2,8 +2,9 @@
 
 Everything here is deliberately self-contained (fractions, itertools and
 math.isqrt only), so agreement with the library is a genuine two-route
-check: plain rational row reduction for ranks, solutions and kernels, the
-split tree of a positive weighting for basic decompositions, the
+check: plain rational row reduction for ranks, solutions and kernels,
+fraction-free Gauss-Jordan (Bareiss) for the pivots, row sizes and final
+pivot that the exact elimination must not exceed, the split tree of a positive weighting for basic decompositions, the
 permutation expansion for determinants, Sylvester's principal minors for
 semidefiniteness, the signs of Cayley-Menger determinants for simplex
 metrics, the Fraction definition of the canonical rows of a
@@ -72,6 +73,41 @@ def kernel_vector(rows):
     for row_i, col in enumerate(piv_cols):
         x[col] = -a[row_i][free]
     return x
+
+
+def bareiss_echelon(rows, width=None):
+    """Fraction-free Gauss-Jordan (Bareiss 1968) on integer rows, over their
+    first ``width`` columns (all by default): (rows, pivots, forward).
+
+    The pivot is the first nonzero entry of its column, every pivot column
+    is cleared above and below it, and each division is exact, so at the end
+    every pivot entry is the same integer, the final pivot.  forward[k] is
+    row k as it stood when it became the k-th pivot row, and the final row
+    k at or past the rank: the rows of forward-only Bareiss elimination.
+    """
+    a = [list(row) for row in rows]
+    m = len(a)
+    n = (len(a[0]) if m else 0) if width is None else width
+    pivots, forward = [], []
+    prev = 1
+    for col in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        ar = a[r]
+        p = ar[col]
+        forward.append(list(ar))
+        for i in range(m):
+            if i != r:
+                f = a[i][col]
+                a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], ar)]
+        prev = p
+        pivots.append(col)
+    return a, pivots, forward + a[len(pivots):]
 
 
 def permutation_det(rows):

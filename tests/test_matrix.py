@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -19,8 +20,8 @@ except ImportError:  # only the @given tests need hypothesis; they skip
 
 from orthants import Mat, kernel_basis, rank, solve_linear
 from orthants.context import EXACT, FLOAT
-from orthants.matrix import _ldl, pivot_columns, solve_columns
-from oracles import positive_semidefinite, rref_rank, solve_any
+from orthants.matrix import _echelon, _ldl, _solve_integers, pivot_columns, solve_columns
+from oracles import bareiss_echelon, kernel_vector, positive_semidefinite, rref_rank, solve_any
 from conftest import rand_frac, seeded_grams
 
 fractions_st = st.fractions(
@@ -154,9 +155,10 @@ class TestSolve:
 
 
 class TestEchelonKernel:
-    """rank, solve_linear and kernel_basis share one elimination; each is
-    checked against the oracles on rank-deficient fractional matrices, and
-    rank also on square ones, most of them nonsingular."""
+    """rank reads the pivots of one forward elimination, and solve_linear
+    and kernel_basis back-substitute on its rows; each is checked against
+    the oracles on rank-deficient fractional matrices, and rank also on
+    square ones, most of them nonsingular."""
 
     def test_exact_results_match_oracles(self):
         rng = random.Random(2024)
@@ -223,6 +225,108 @@ class TestEchelonKernel:
             assert all(map(close, solve_linear(F, rhs), solve_linear(E, rhs)))
             for u, v in zip(kernel_basis(F), kernel_basis(E), strict=True):
                 assert all(map(close, u, v))
+
+
+def integer_rows(rng, m, n, bound=9):
+    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+
+
+def sparse_rows(rng, m, n):
+    """m x n with 10% of its entries nonzero, rounded down: a pattern like
+    the proof blocks, a partial permutation first and random entries after."""
+    rows = [[0] * n for _ in range(m)]
+    cells = list(zip(rng.sample(range(m), min(m, n)), rng.sample(range(n), min(m, n))))
+    cells += rng.sample([(i, j) for i in range(m) for j in range(n)], m * n // 10)
+    for i, j in cells[: m * n // 10]:
+        rows[i][j] = rng.choice((-1, 1)) * rng.randint(1, 9)
+    return rows
+
+
+def low_rank_rows(rng, m, n):
+    """An m x n product of random integer m x r and r x n factors."""
+    r = rng.randint(0, min(m, n) - 1)
+    left, right = integer_rows(rng, m, r, 3), integer_rows(rng, r, n, 3)
+    return [[sum(left[i][k] * right[k][j] for k in range(r)) for j in range(n)] for i in range(m)]
+
+
+def seeded_integer_matrices():
+    """(name, rows): dense, sparse, rank-deficient, and rows with a common content."""
+    rng = random.Random(2026)
+    out = []
+    for t in range(60):
+        out.append((f"dense {t}", integer_rows(rng, rng.randint(1, 8), rng.randint(1, 8))))
+    for t in range(30):
+        out.append((f"sparse {t}", sparse_rows(rng, rng.randint(10, 24), rng.randint(10, 24))))
+    for t in range(60):
+        out.append((f"low rank {t}", low_rank_rows(rng, rng.randint(2, 8), rng.randint(2, 8))))
+    for t in range(30):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        rows = low_rank_rows(rng, m, n) if t % 2 else integer_rows(rng, m, n)
+        contents = rng.choices((2, 6, 35, 720), k=m)
+        out.append((f"content {t}", [[c * x for x in row] for row, c in zip(rows, contents)]))
+    return out
+
+
+def right_hand_sides(rng, rows):
+    """A consistent rhs M x0 and a random one, inconsistent when M is
+    rank-deficient in its rows (almost always)."""
+    x0 = [rng.randint(-3, 3) for _ in rows[0]]
+    consistent = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+    return [consistent, [rng.randint(-9, 9) for _ in rows]]
+
+
+class TestForwardElimination:
+    """The exact elimination against fraction-free Gauss-Jordan (Bareiss) and
+    plain rational row reduction, on seeded integer matrices."""
+
+    def test_rows_divide_the_bareiss_rows_with_the_same_pivots(self):
+        # each row is primitive and lies on the line of its forward Bareiss
+        # row, so that row is an integer multiple of it, entry by entry
+        for name, rows in seeded_integer_matrices():
+            M = Mat.from_rows(rows, EXACT)
+            a, pivots = _echelon(M)
+            _, ref_pivots, forward = bareiss_echelon(rows)
+            assert pivots == ref_pivots == pivot_columns(M), name
+            assert rank(M) == rref_rank(rows), name
+            for u, v in zip(a, forward, strict=True):
+                assert gcd(*u) in (0, 1), name
+                i = next((j for j, x in enumerate(u) if x), None)
+                k = 0 if i is None else v[i] // u[i]
+                assert v == [k * x for x in u], name
+                assert all(abs(x).bit_length() <= abs(y).bit_length() for x, y in zip(u, v)), name
+
+    def test_solves_and_kernels_match_rational_row_reduction(self):
+        rng = random.Random(2027)
+        for name, rows in seeded_integer_matrices():
+            M = Mat.from_rows(rows, EXACT)
+            rhss = right_hand_sides(rng, rows)
+            for rhs, x in zip(rhss, solve_columns(M, rhss), strict=True):
+                assert x == solve_any(rows, rhs), name
+            basis = kernel_basis(M)
+            assert (basis[0] if basis else None) == kernel_vector(rows), name
+            assert_canonical_kernel(rows, basis)
+
+    def test_integer_solves_over_the_least_denominator(self):
+        # d > 0 is the least common denominator of the solution with free
+        # variables at zero, and it divides the final Bareiss pivot
+        rng = random.Random(2028)
+        inconsistent = 0
+        for name, rows in seeded_integer_matrices():
+            k = min(len(rows), len(rows[0]))
+            square = [row[:k] for row in rows[:k]]
+            for rhs in right_hand_sides(rng, square):
+                expected = solve_any(square, rhs)
+                solved = _solve_integers(square, rhs)
+                if expected is None:
+                    assert solved is None, name
+                    inconsistent += 1
+                    continue
+                x, d = solved
+                assert d > 0 and gcd(d, *x) == 1, name
+                assert [Fraction(v, d) for v in x] == expected, name
+                final, pivots, _ = bareiss_echelon([r + [b] for r, b in zip(square, rhs)], width=k)
+                assert (final[0][pivots[0]] if pivots else 1) % d == 0, name
+        assert inconsistent >= 30
 
 
 class TestLdl:
