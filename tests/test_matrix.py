@@ -232,8 +232,8 @@ def integer_rows(rng, m, n, bound=9):
 
 
 def sparse_rows(rng, m, n):
-    """m x n with 10% of its entries nonzero, rounded down: a pattern like
-    the proof blocks, a partial permutation first and random entries after."""
+    """m x n with at most 10% of its entries nonzero, in a pattern like the
+    proof blocks: a partial permutation first and random entries after."""
     rows = [[0] * n for _ in range(m)]
     cells = list(zip(rng.sample(range(m), min(m, n)), rng.sample(range(n), min(m, n))))
     cells += rng.sample([(i, j) for i in range(m) for j in range(n)], m * n // 10)
