@@ -1,19 +1,15 @@
 """Dense matrices over a scalar backend.
 
 Rank, pivot columns, solutions and kernels are all read off one
-elimination, ``_echelon``.  On the exact backend it scales each row to a
-primitive integer row once and then eliminates forward only, updating just
-the rows below a pivot with a nonzero in its column and dividing each by
-its content: every row stays an integer divisor of its fraction-free
-(Bareiss 1968) counterpart, so no entry outgrows a minor of the input and
-denominators never explode.  Solutions are back-substituted in integers
-over their least common denominator, and a Fraction is built only when a
-result is read off.  The float backend runs Gauss-Jordan with partial
-pivoting and a zero tolerance.  Exact results do not depend on the pivot
-rule: the rank, the pivot columns, the solution with free variables at
-zero and the kernel basis with 1 in its free coordinate are unique.
-Symmetric matrices are factored, and tested for semidefiniteness, by one
-LDL^T, ``_ldl``.
+elimination, ``_echelon``.  On the exact backend it runs forward only on
+primitive integer rows, so no entry outgrows a minor of the input, and
+solutions are back-substituted in integers over their least common
+denominator; a Fraction is built only when a result is read off.  The
+float backend runs Gauss-Jordan with partial pivoting and a zero
+tolerance.  Exact results do not depend on the pivot rule: the rank, the
+pivot columns, the solution with free variables at zero and the kernel
+basis with 1 in its free coordinate are unique.  Symmetric matrices are
+factored, and tested for semidefiniteness, by one LDL^T, ``_ldl``.
 """
 
 from __future__ import annotations
