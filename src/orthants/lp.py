@@ -1,22 +1,23 @@
 """Exact linear programming with certificates.
 
-The engine is a dense two-phase simplex, pivoting by Bland's rule
-(smallest eligible index enters, ratio ties broken by the smallest basic
-index).  On the exact backend floats choose the basis and exact arithmetic
-proves it (Applegate, Cook, Dash & Espinoza 2007; Gleixner, Steffy &
-Wolter 2016): the simplex first runs on float copies of the data, and only
-its final basis is kept.  Exact data is integer columns over one
-denominator each, and the float copy is their int/int quotients.  A basic
-artificial column is a unit vector e_k, so it touches row k alone: two
-exact integer solves on the k x k block of the k structural basic columns
-give the primal point and the dual vector, each over its least common
-denominator (``matrix._solve_integers``).  The answer is accepted only
-when they pass the integer optimality or Farkas checks, which run on
-every row and column of the LP; Fractions are built only for the answer.
-Whenever the float run or a check fails, the same LP runs through the
-exact Bland simplex, which terminates in exact arithmetic and is the
-reference route.  No float number reaches an exact answer.  The float
-backend runs the simplex once, in floats.
+The engine is a dense two-phase simplex.  On the exact backend floats
+choose the basis and exact arithmetic proves it (Applegate, Cook, Dash &
+Espinoza 2007; Gleixner, Steffy & Wolter 2016): the simplex first runs on
+float copies of the data, and only its final basis is kept.  Exact data is
+integer columns over one denominator each, and the float copy is their
+int/int quotients.  A basic artificial column is a unit vector e_k, so it
+touches row k alone: two exact integer solves on the k x k block of the k
+structural basic columns give the primal point and the dual vector, each
+over its least common denominator (``matrix._solve_integers``).  The
+answer is accepted only when they pass the integer optimality or Farkas
+checks, which run on every row and column of the LP; Fractions are built
+only for the answer.  As the proof judges any basis, the float run prices
+by Dantzig's rule (largest reduced cost), and hands a phase to Bland's rule
+after a run of degenerate pivots.  Whenever the float run or a check fails,
+the same LP runs through the exact simplex by Bland's rule (smallest
+eligible index enters, ratio ties to the smallest basic index), which
+terminates in exact arithmetic and is the reference route.  No float number
+reaches an exact answer.  The float backend runs that simplex once, in floats.
 
 Every outcome carries an exactly checkable object: an optimal point with
 its dual vector, a Farkas ray proving infeasibility, or an improving ray
@@ -43,6 +44,7 @@ from .errors import OrthantsError, ShapeMismatch
 from .matrix import Mat, _numerators, _solve_integers, dot, primitive
 
 _MAX_PIVOTS = 200_000
+_MAX_DEGENERATE = 50  # degenerate Dantzig pivots in a row before Bland's rule
 
 
 # ---------------------------------------------------------------------------
@@ -120,28 +122,31 @@ class PositivityOutcome:
 class _Tableau:
     """Dense tableau [A' | I | b'], where A', b' are A, b with each row
     flipped so that b' >= 0, and the identity block holds the artificials.
+    A guess tableau (the float run that only picks a basis to prove) stores
+    [A' | b'], with artificial k still named n + k; only structural columns enter.
 
     Rows are never dropped.  An artificial that phase 1 cannot drive out
     stays basic at 0 on a row whose structural entries are all zero; no
     later pivot touches that row, so the basis B stays square and
     nonsingular.  The identity block therefore always holds B^-1, and the
     dual y = c_B B^-1 is read off the z-line on the artificial columns
-    instead of by a second elimination.
+    instead of by a second elimination; a guess tableau has no dual.
 
     Sign tests compare against ``tol``: 0 on the exact backend, ``ctx.tol``
     on the float one.  An entry x is positive when x > tol, negative when
     x < -tol and zero when |x| <= tol, the rule of ``Context.sign``.
     """
 
-    def __init__(self, A_rows, b, n, ctx: Context):
+    def __init__(self, A_rows, b, n, ctx: Context, guess=False):
         self.ctx = ctx
         self.tol = tol = 0 if ctx.is_exact else ctx.tol
         self.m = len(A_rows)
         self.n = n
+        self.guess = guess
         self.flip = []
         self.T = []
         for i in range(self.m):
-            unit = [ctx.one() if k == i else ctx.zero() for k in range(self.m)]
+            unit = [] if guess else [ctx.one() if k == i else ctx.zero() for k in range(self.m)]
             if b[i] < -tol:
                 self.T.append([-x for x in A_rows[i]] + unit + [-b[i]])
                 self.flip.append(-1)
@@ -152,11 +157,11 @@ class _Tableau:
 
     @property
     def width(self):
-        return self.n + self.m
+        return self.n if self.guess else self.n + self.m
 
     def zline(self, costs):
         """Reduced-cost row plus negated objective value for the current basis."""
-        z = list(costs) + [self.ctx.zero()]
+        z = list(costs[:self.width]) + [self.ctx.zero()]
         for i, bi in enumerate(self.basis):
             cb = costs[bi]
             if abs(cb) > self.tol:
@@ -178,12 +183,19 @@ class _Tableau:
         self.basis[r] = e
 
     def bland(self, costs, allowed_width):
-        """Run Bland pivoting; return (z-line, None) at an optimum, or
-        (z-line, e) when no ratio limits the step of entering column e."""
+        """Run one phase by Bland's rule; return (z-line, None) at an optimum,
+        or (z-line, e) when no ratio limits the step of entering column e.
+        A guess tableau prices by Dantzig's rule until ``_MAX_DEGENERATE``
+        degenerate pivots in a row hand the phase to Bland's, which cannot cycle."""
         tol = self.tol
         z = self.zline(costs)
+        stalled = 0 if self.guess else _MAX_DEGENERATE
         for _ in range(_MAX_PIVOTS):
-            enter = next((j for j in range(allowed_width) if z[j] > tol), None)
+            if stalled < _MAX_DEGENERATE:  # Dantzig: the largest reduced cost
+                top = max(z[:allowed_width], default=tol)
+                enter = z.index(top) if top > tol else None
+            else:  # Bland: the smallest eligible column
+                enter = next((j for j in range(allowed_width) if z[j] > tol), None)
             if enter is None:
                 return z, None
             leave = None
@@ -199,6 +211,8 @@ class _Tableau:
                         leave = i
             if leave is None:
                 return z, enter
+            if stalled < _MAX_DEGENERATE:
+                stalled = stalled + 1 if best <= tol else 0
             self.pivot(leave, enter, z)
         raise OrthantsError("simplex pivot limit exceeded")
 
@@ -320,13 +334,14 @@ def _bland_simplex(A_rows, b, c, ctx: Context):
 
 
 def _float_guess(A_rows, b, c):
-    """(status, basis, row flips) of the simplex run on float copies.
+    """(status, basis, row flips) of the simplex run on float copies, in a
+    guess tableau: Dantzig pricing, as ``_prove_basis`` judges the basis.
 
     Raises OverflowError when an entry is beyond float range and
     OrthantsError at the pivot limit.
     """
     A = _IntegerColumns.of(A_rows, len(c))
-    tab = _Tableau(A.floats(), [float(v) for v in b], len(c), FLOAT)
+    tab = _Tableau(A.floats(), [float(v) for v in b], len(c), FLOAT, guess=True)
     status = tab.two_phase([float(v) for v in c])[0]
     return status, tab.basis, tab.flip
 

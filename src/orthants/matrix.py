@@ -225,7 +225,10 @@ def _back_substitute(a: list, pivots: list, k: int) -> tuple:
     d = 1
     for i in range(len(pivots) - 1, -1, -1):
         row = a[i]
-        s = row[k] * d - sum(row[c] * x for c, x in zip(pivots[i + 1:], X[i + 1:]) if x)
+        s = row[k] * d
+        for j in range(i + 1, len(pivots)):
+            if x := X[j]:
+                s -= row[pivots[j]] * x
         if not s:
             continue
         q = row[pivots[i]] * d

@@ -48,7 +48,7 @@ from .errors import (
     RecessionNotStrictlyPositive,
     UnboundedPolyhedron,
 )
-from .matrix import Mat, _numerators, _primitive_rows, _ratio, _tol_key, dot, solve_columns
+from .matrix import Mat, _numerators, _ratio, _tol_key, dot, solve_columns
 from .hedgehogs import _needle
 from .polyhedra import Polyhedron, _strict_multiplier, boundedness, require_nondegenerate
 from .frames import build, system_from_primitive
@@ -135,9 +135,10 @@ def verify_embedding(E: Embedding, sample_points=()) -> bool:
 # padding with auxiliary halfspaces
 
 
-def _pad_and_embed(P: Polyhedron, aux_normals, generators, y=None) -> Embedding:
-    """P's rows, then every auxiliary normal whose line is new, each pushed
-    strictly below P by its multiplier.
+def _pad_and_embed(P: Polyhedron, aux_rows, generators, y=None) -> Embedding:
+    """P's rows, then every auxiliary row sigma v, given as (v, sigma) in the
+    form of ``_primitive_rows``, whose line is new, each pushed strictly
+    below P by its multiplier.
 
     ``generators`` are g_1..g_n with A^T g_k = e_k (None where
     ``solve_columns`` found e_k out of reach), and on bounded inputs y > 0
@@ -153,12 +154,12 @@ def _pad_and_embed(P: Polyhedron, aux_normals, generators, y=None) -> Embedding:
     rows (v_i, sigma_i).
     """
     ctx = P.ctx
-    seen, added, split = {_tol_key(_needle(v, ctx), ctx) for v, _ in P.primitive_rows}, [], []
-    for a, row in zip(aux_normals, _primitive_rows(aux_normals, ctx)):
-        if (key := _tol_key(_needle(row[0], ctx), ctx)) not in seen:
+    seen, split = {_tol_key(_needle(v, ctx), ctx) for v, _ in P.primitive_rows}, []
+    for v, s in aux_rows:
+        if (key := _tol_key(_needle(v, ctx), ctx)) not in seen:
             seen.add(key)
-            added.append(list(a))
-            split.append(row)
+            split.append((v, s))
+    added = [[s * x for x in v] for v, s in split]
     if None in generators:  # solve_columns found A^T g = e_k inconsistent
         k = generators.index(None)
         raise BrokenInvariant(f"realize: multiplier generator {k + 1} failed A^T g = e_{k + 1}")
@@ -220,10 +221,15 @@ def _units(n: int, ctx: Context) -> list:
 
 def _shear_family(n: int, eps, ctx: Context) -> list:
     """x_i - eps x_j and x_j - eps x_i for each i < j, the same with + eps,
-    then x_i; at eps = 1 its lines are generate_max_rank_orthant(n)'s, in order."""
-    unit = _units(n, ctx)
-    return [[x + s * y for x, y in zip(unit[p], unit[q])] for s in (-eps, eps)
-            for i, j in combinations(range(n), 2) for p, q in ((i, j), (j, i))] + unit
+    then x_i, as rows (v, sigma) of ``_primitive_rows``; at eps = 1 its
+    lines are generate_max_rank_orthant(n)'s, in order.  Exact eps is 2^-k,
+    so v = 2^k e_p -+ e_q is primitive with sigma = eps."""
+    one, lead, tail, sigma = ((1, eps.denominator, 1, eps) if ctx.is_exact
+                              else (1.0, 1.0, eps, 1.0))
+    unit = [tuple(one * (k == i) for k in range(n)) for i in range(n)]
+    return [(tuple(lead * x + s * y for x, y in zip(unit[p], unit[q])), sigma)
+            for s in (-tail, tail) for i, j in combinations(range(n), 2)
+            for p, q in ((i, j), (j, i))] + [(v, ctx.one()) for v in unit]
 
 
 def _farkas_witnesses(P: Polyhedron) -> list:

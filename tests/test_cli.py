@@ -33,6 +33,7 @@ from orthants import (
 from orthants.context import EXACT
 from orthants.errors import ParseError
 from orthants.fileformats import bang_to_doc, polyhedron_to_text
+from orthants.frames import system_from_primitive
 from orthants.hedgehogs import reduce as reduce_hedgehog
 
 FAMILIES = {
@@ -73,13 +74,15 @@ def rotated_text(kind, n, seed):
     return polyhedron_to_text(Polyhedron.from_rows(rows, P.b, EXACT))
 
 
-# endgo 5 under rotation seed 2 is an input whose float phase 1 stops without
-# an optimum, so its LP is answered by the exact Bland route
-FALLBACK_INPUT = ("endgo", 5, 2)
+# endgo 5 under rotation seed 6 is an input whose float guess ends at a basis
+# whose exact point has a negative entry, so its LP is answered by the exact
+# Bland route
+FALLBACK_INPUT = ("endgo", 5, 6)
 
 
 @pytest.mark.parametrize(
-    "kind, n, seed", [("cube", 3, 1), ("cross", 3, 2), ("endgo", 3, 3), FALLBACK_INPUT]
+    "kind, n, seed",
+    [("cube", 3, 1), ("cross", 3, 2), ("endgo", 3, 3), ("endgo", 5, 2), FALLBACK_INPUT],
 )
 def test_is_orthant_stdout_is_byte_stable_on_rotated_inputs(kind, n, seed):
     text = rotated_text(kind, n, seed)
@@ -90,7 +93,8 @@ def test_is_orthant_stdout_is_byte_stable_on_rotated_inputs(kind, n, seed):
     assert json.loads(first[1])["verdict"] == "Positive"
 
 
-def test_rotated_endgo5_takes_the_bland_fallback(monkeypatch, capsys):
+def counted_bland(monkeypatch):
+    """The argument tuples of every exact Bland run from now on."""
     bland = lp._bland_simplex
     runs = []
 
@@ -99,10 +103,56 @@ def test_rotated_endgo5_takes_the_bland_fallback(monkeypatch, capsys):
         return bland(*args)
 
     monkeypatch.setattr(lp, "_bland_simplex", counted)
+    return runs
+
+
+def test_rotated_endgo5_takes_the_bland_fallback(monkeypatch, capsys):
+    runs = counted_bland(monkeypatch)
     text = rotated_text(*FALLBACK_INPUT)
     code, out = in_process(monkeypatch, capsys, "is-orthant", "-", stdin=text)
     assert code == 0 and len(runs) == 1
     assert out == orthants("is-orthant", "-", stdin=text)[1]
+
+
+@pytest.mark.parametrize("command", ["is-orthant", "realize", "decompose"])
+def test_every_rejected_guess_is_answered_by_the_bland_route(command, monkeypatch, capsys):
+    # the guess runs, but its status is refused by the proof, so every LP of
+    # the command goes through the exact Bland route end to end
+    guess = lp._float_guess
+    guesses = []
+
+    def rejected(A, b, c):
+        guesses.append(c)
+        return ("stopped", *guess(A, b, c)[1:])
+
+    for args in [("cube", 3, 1), ("cross", 4, 2), FALLBACK_INPUT]:
+        text = rotated_text(*args)
+        code, out = in_process(monkeypatch, capsys, command, "-", stdin=text)
+        with monkeypatch.context() as m:
+            m.setattr(lp, "_float_guess", rejected)
+            runs = counted_bland(m)
+            guesses.clear()
+            fallback_code, fallback_out = in_process(monkeypatch, capsys, command, "-", stdin=text)
+        assert len(runs) == len(guesses) > 0, args
+        doc, fallback = json.loads(out), json.loads(fallback_out)
+        assert fallback_code == code == 0 and fallback.get("verdict") == doc.get("verdict"), args
+        if command == "realize":
+            assert fallback["target_dim"] == doc["target_dim"]
+            assert verify_embedding(embedding_from_report(fallback)), args
+
+
+def test_cross8_is_orthant_needs_no_bland_run(monkeypatch, capsys):
+    # Bland pricing stalled on this degenerate weighting LP for seconds; the
+    # guess prices by Dantzig's rule and its basis is proved at once
+    runs = counted_bland(monkeypatch)
+    _, text = in_process(monkeypatch, capsys, "gen", "cross", "8")
+    code, out = in_process(monkeypatch, capsys, "is-orthant", "-", stdin=text)
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"] == "Positive" and not runs
+    _, canonical = reduce_hedgehog(generate_cross_polytope(8))
+    system = system_from_primitive(canonical.primitive_rows, EXACT)
+    witness = tuple(Fraction(v) for v in doc["witness"])
+    assert lp.verify_outcome(system, lp.PositivityOutcome("Positive", "exact", witness_t=witness))
 
 
 def test_verdicts_and_ranks_match_the_exact_route(monkeypatch, capsys):
@@ -498,7 +548,9 @@ def test_embed_and_realize_accept_the_empty_system(command, monkeypatch, capsys)
 STDOUT_DIGESTS = {
     "is-orthant": "4b4a79a7ea3be037765d76f9a8a1833d2c1af2968dd48761ab02c93d47366426",
     "rank": "03300ca9a9d2d12bf2b8b6c091e48ff582cf91ff5420c870bbf8305c55353bfe",
-    "realize": "eb085ef927614be22955e0c2c279ef253bb3881312f240b78d5b5ca3e2dd040e",
+    # re-recorded when the float guess moved to Dantzig pricing: endgo 5's
+    # Stiemke witness, and so its offsets, come from another optimal basis
+    "realize": "f0a90dfb599b478011661f6611f46627f1d4fb2fead1209ba0cf70e743497bed",
     "embed": "389fdde105672c76aa98f0bd889838cb66f8481d8df31baea0b6db4630b81231",
     "decompose": "10c5d2af7d130c0d121906ae0ab5d9d23487b5f2af73546da7ea0a775000952c",
     # recorded before the weighting system moved to integer columns
@@ -506,7 +558,7 @@ STDOUT_DIGESTS = {
     "--dump-bang rank": "de945df36b306b499e39127bb5d7f5cd08418babe7a916dae053de6625b7ddf6",
     "classify2d": "a8f00a835a4f13a8ccdb7a7e084345aa5a15fc8809e72d4960ceea71ded9718a",
 }
-DIGEST_ROTATIONS = [("cube", 3, 1), ("cross", 4, 2), FALLBACK_INPUT]
+DIGEST_ROTATIONS = [("cube", 3, 1), ("cross", 4, 2), ("endgo", 5, 2)]
 
 
 def digest_inputs():
@@ -609,7 +661,9 @@ def unbounded_digest_inputs():
 # recession direction of the refused multiplier LP; recorded before the
 # multiplier LPs read the primitive rows and realize checked them in integers
 UNBOUNDED_REALIZE_DIGESTS = {
-    "exact": "8fa9037625ab76a8920f79e94ff5b8510dad72f387eaf4c93cb2d26f59ee4ca7",
+    # re-recorded when the float guess moved to Dantzig pricing: on six shear
+    # inputs the padded weighting t comes from another optimal basis
+    "exact": "b2f304ecbadfb22694684a9a36ff53bb334ee161e3ede4a3fdad45107e1efdb6",
     "float": "60ffccad9c27e7ff79e0d77f89b49f1ccfdc3f15d62d9c5be8f195393a046828",
 }
 
@@ -634,7 +688,9 @@ def test_unbounded_realize_matches_its_digest(backend, monkeypatch, capsys):
 # before the exact elimination went forward-only on primitive rows
 SCALE_DIGESTS = {
     "cube 16 realize": "7c627ed5fe4327d387e84505e13c65fac274c0be4a653da9f957a6a671f1e716",
-    "endgo 8 decompose": "00f98b5efcf46f089c9ce9d8b3ba52ef285a0e301aab9edeb963b65db93a150d",
+    # re-recorded when the float guess moved to Dantzig pricing: the vertex
+    # LPs reach other optimal vertices, so other subsets of the same union rank
+    "endgo 8 decompose": "a4a3484614cc3556a29b6e47902202919127f65dc29daa77d0ad66440e6fc268",
     "cross 7 is-orthant": "bd90e0e5ad9d667d1740eafa71f0b3ba7f30921079b2c70c480aa96a166ef520",
     "cross 7 rank": "0ad513eeb1f1b8bdae007cbf5df17c1aa544059733c5a670b06b141898aef054",
 }

@@ -678,9 +678,10 @@ class TestTamperedReadOff:
 
 
 def test_rotated_endgo5_fallbacks_match_the_exact_route(monkeypatch):
-    # Cayley rotations of endgo 5: the float guess fails on 8 of the 40,
-    # which reach Bland, and every verdict and certificate of the 40 equals
-    # the all-Bland route's
+    # Cayley rotations of endgo 5: the float guess fails on a few of the 40,
+    # which reach Bland and give its outcome exactly; every other outcome
+    # comes from a proved guess and re-checks, and every verdict of the 40
+    # equals the all-Bland route's
     from conftest import rational_rotation
     from orthants import Polyhedron, build, generate_max_rank_orthant, reduce
 
@@ -694,10 +695,57 @@ def test_rotated_endgo5_fallbacks_match_the_exact_route(monkeypatch):
         rows = [R.matvec(endgo.A.row(i)) for i in range(endgo.nfacets)]
         systems.append(build(reduce(Polyhedron.from_rows(rows, endgo.b, EXACT))[1]))
     runs = counted_bland(monkeypatch)
-    outcomes = [decide_positive(system) for system in systems]
-    assert 0 < len(runs) <= 8
+    outcomes, fell_back = [], []
+    for system in systems:
+        before = len(runs)
+        outcomes.append(decide_positive(system))
+        fell_back.append(len(runs) > before)
+    assert 0 < sum(fell_back) <= 8
     monkeypatch.setattr(lp, "_float_guess", no_guess)
-    assert outcomes == [decide_positive(system) for system in systems]
+    for system, outcome, fell in zip(systems, outcomes, fell_back):
+        expected = decide_positive(system)
+        assert outcome.verdict == expected.verdict
+        assert outcome == expected if fell else verify_outcome(system, outcome)
+
+
+# Beale's (1955) cycling example, max 3/4 x4 - 20 x5 + 1/2 x6 - 6 x7 over
+# x1..x3 slack: columns x4..x7, then x1..x3; the optimum 5/4 is at x4 = x6 = 1
+BEALE_LP = (
+    [[Fraction(v) for v in row] for row in (
+        ["1/4", -8, -1, 9, 1, 0, 0], ["1/2", -12, "-1/2", 3, 0, 1, 0], [0, 0, 1, 0, 0, 0, 1],
+    )],
+    [Fraction(0), Fraction(0), Fraction(1)],
+    [Fraction(v) for v in ("3/4", -20, "1/2", -6, 0, 0, 0)],
+)
+
+
+class TestDegenerateGuard:
+    """The guess tableau prices by Dantzig's rule, which can cycle; after
+    _MAX_DEGENERATE degenerate pivots in a row Bland's rule ends the phase."""
+
+    def slack_start(self):
+        rows, b, c = BEALE_LP
+        tab = lp._Tableau([[float(x) for x in r] for r in rows], [float(x) for x in b],
+                          len(c), FLOAT, guess=True)
+        assert all(len(row) == len(c) + 1 for row in tab.T)  # no identity block
+        tab.basis = [4, 5, 6]
+        return tab, [float(x) for x in c] + [0.0] * len(b)
+
+    def test_dantzig_alone_cycles_from_the_slack_basis(self, monkeypatch):
+        monkeypatch.setattr(lp, "_MAX_PIVOTS", 1000)
+        monkeypatch.setattr(lp, "_MAX_DEGENERATE", 1000)
+        tab, costs = self.slack_start()
+        with pytest.raises(OrthantsError, match="pivot limit"):
+            tab.bland(costs, tab.n)
+
+    def test_the_guard_ends_at_a_proved_optimum(self, monkeypatch):
+        monkeypatch.setattr(lp, "_MAX_PIVOTS", 1000)
+        tab, costs = self.slack_start()
+        assert tab.bland(costs, tab.n)[1] is None
+        expected = lp._bland_simplex(*BEALE_LP, EXACT)
+        assert expected.value == Fraction(5, 4)
+        assert lp._prove_basis(*BEALE_LP, "optimal", tab.basis, tab.flip) == expected
+        assert lp._prove_basis(*BEALE_LP, *lp._float_guess(*BEALE_LP)).value == Fraction(5, 4)
 
 
 class TestFloatTableauTolerance:

@@ -220,7 +220,7 @@ def test_shear_family_at_eps_one_is_the_companion(n, ctx):
     # bounded inputs are padded with the shear family at eps = 1; its lines
     # are those of generate_max_rank_orthant(n), in order and with equal
     # entries, so a bounded realization adds exactly that family's lines
-    family = lines(realize._shear_family(n, ctx.one(), ctx), ctx)
+    family = lines([[s * x for x in v] for v, s in realize._shear_family(n, ctx.one(), ctx)], ctx)
     companion = generate_max_rank_orthant(n, ctx)
     assert family == lines([companion.A.row(i) for i in range(companion.nfacets)], ctx)
     assert len(family) == n * n
@@ -464,7 +464,7 @@ def test_a_multiplier_that_fails_its_check_is_refused(ctx, monkeypatch):
         P = exact_P if exact else as_float(exact_P)
         if not exact:
             E = realize_unbounded(P)
-        aux = [E.A_ext.row(i) for i in range(P.nfacets, E.target_dim)]
+        aux = _primitive_rows([E.A_ext.row(i) for i in range(P.nfacets, E.target_dim)], ctx)
         assert realize._pad_and_embed(P, aux, *calls[-1]) == E
         shifted = [list(g) for g in generators]
         shifted[0][0] += 1
