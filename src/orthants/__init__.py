@@ -35,14 +35,7 @@ from .lp import (
     solve,
     verify_outcome,
 )
-from .hedgehogs import (
-    Hedgehog,
-    canonical_polyhedron,
-    equal,
-    from_needles,
-    reduce,
-    union,
-)
+from .hedgehogs import Hedgehog, canonical_polyhedron, reduce
 from .planar import Class2D, Verdict2D, classify_2d
 from .simplices import (
     SimplexClass,

@@ -41,16 +41,8 @@ class DimensionTooLarge(OrthantsError):
     """Input exceeds the desk-scale guard of an enumeration routine."""
 
 
-class DimensionMismatch(OrthantsError):
-    """Objects live in different ambient dimensions."""
-
-
 class WrongDimension(OrthantsError):
     """Operation is only defined in a specific dimension."""
-
-
-class TooManyNeedles(OrthantsError):
-    """Needle count exceeds the brute-force guard."""
 
 
 class NotRealizable(OrthantsError):

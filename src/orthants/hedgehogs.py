@@ -1,4 +1,4 @@
-"""Canonical facet-direction sets (hedgehogs) and their equivalence.
+"""Canonical facet-direction sets (hedgehogs).
 
 Two systems that differ only by offsets, row rescaling, rotations, or
 duplicated directions have the same orthantness verdict, so the object
@@ -10,8 +10,7 @@ primitive integer vector (``Polyhedron.primitive_rows``), only sign-fixed
 here so that its last nonzero coordinate is positive, and every angular
 comparison is a sign test on inner products.  Needles stay in the input's
 coordinates and in the order of their first occurrence: the weighting
-system is invariant under rigid motions, and equality of hedgehogs is
-decided on normalized Gram matrices, so no frame needs to be chosen.
+system is invariant under rigid motions, so no frame needs to be chosen.
 
 The canonical polyhedron of a hedgehog has all offsets equal to -1.  Its
 rows are scaled so that each constraint is tight at a point strictly
@@ -26,16 +25,9 @@ from fractions import Fraction
 from math import isqrt
 
 from .context import Context
-from .errors import (
-    BrokenInvariant,
-    DegeneratePolyhedron,
-    DimensionMismatch,
-    TooManyNeedles,
-)
-from .matrix import Mat, _primitive_rows, dot, normalize, rank
+from .errors import BrokenInvariant, DegeneratePolyhedron
+from .matrix import Mat, dot, normalize, rank
 from .polyhedra import Polyhedron
-
-_NEEDLE_GUARD = 9
 
 
 @dataclass(frozen=True)
@@ -144,130 +136,3 @@ def reduce(P: Polyhedron):
     if rank(Mat(h.needles, ctx) if ctx.is_exact else P.A) != P.dim:
         raise DegeneratePolyhedron("cannot reduce a degenerate system")
     return h, canonical_polyhedron(h)
-
-
-def from_needles(directions, dim: int, ctx: Context) -> Hedgehog:
-    """Hedgehog from raw direction vectors, in the caller's frame and order.
-
-    Each direction is made primitive (``matrix._primitive_rows``) or unit
-    and sign-fixed, and later duplicates modulo sign are dropped; nothing is
-    rotated, so hedgehogs built this way stay comparable coordinatewise.
-    """
-    rows = _primitive_rows([[ctx.coerce(x) for x in v] for v in directions], ctx)
-    return Hedgehog(dim, _distinct([_needle(v, ctx) for v, _ in rows], ctx), ctx)
-
-
-def union(h1: Hedgehog, h2: Hedgehog) -> Hedgehog:
-    """Union of needle sets; both hedgehogs must share ambient coordinates."""
-    if h1.dim != h2.dim:
-        raise DimensionMismatch("union needs a common ambient dimension")
-    if h1.ctx.backend != h2.ctx.backend:
-        raise DimensionMismatch("union needs a common scalar backend")
-    return from_needles(h1.needles + h2.needles, h1.dim, h1.ctx)
-
-
-# ---------------------------------------------------------------------------
-# equality, via normalized Gram data
-
-
-def _norm_entry(G, norms, i, j, ctx):
-    """(sign, squared normalized value) of Gram entry; exact rationals or floats."""
-    g = G[i][j]
-    s = ctx.sign(g)
-    if ctx.is_exact:
-        return s, Fraction(g * g, norms[i] * norms[j])
-    return s, float(g * g / (norms[i] * norms[j]))
-
-
-def _abs_close(a, b, ctx) -> bool:
-    if ctx.is_exact:
-        return a == b
-    return abs(a - b) <= 4 * ctx.tol
-
-
-def equal(h1: Hedgehog, h2: Hedgehog) -> bool:
-    """Same hedgehog up to relabeling, sign flips and a rigid motion.
-
-    Configurations of needles are congruent exactly when their Gram
-    matrices match after a permutation and a diagonal sign change; the
-    search is brute force with multiset pruning, which is ample for the
-    guarded needle counts.
-    """
-    for h in (h1, h2):
-        if h.count > _NEEDLE_GUARD:
-            raise TooManyNeedles(f"equality is guarded to <= {_NEEDLE_GUARD} needles")
-    if h1.dim != h2.dim or h1.count != h2.count:
-        return False
-    ctx = h1.ctx
-    m = h1.count
-    G1 = [[dot(u, v) for v in h1.needles] for u in h1.needles]
-    G2 = [[dot(u, v) for v in h2.needles] for u in h2.needles]
-    n1 = [G1[i][i] for i in range(m)]
-    n2 = [G2[i][i] for i in range(m)]
-
-    def signature(G, norms, i):
-        vals = sorted(
-            _norm_entry(G, norms, i, j, ctx)[1] for j in range(m) if j != i
-        )
-        return vals
-
-    sig1 = [signature(G1, n1, i) for i in range(m)]
-    sig2 = [signature(G2, n2, i) for i in range(m)]
-
-    def sig_match(a, b):
-        return all(_abs_close(x, y, ctx) for x, y in zip(a, b))
-
-    perm = [None] * m
-    used = [False] * m
-
-    def extend(i):
-        if i == m:
-            return _signs_consistent(G1, G2, n1, n2, perm, ctx)
-        for k in range(m):
-            if used[k] or not sig_match(sig1[i], sig2[k]):
-                continue
-            ok = True
-            for j in range(i):
-                s1, v1 = _norm_entry(G1, n1, i, j, ctx)
-                s2, v2 = _norm_entry(G2, n2, k, perm[j], ctx)
-                if not _abs_close(v1, v2, ctx) or (s1 == 0) != (s2 == 0):
-                    ok = False
-                    break
-            if ok:
-                perm[i] = k
-                used[k] = True
-                if extend(i + 1):
-                    return True
-                used[k] = False
-                perm[i] = None
-        return False
-
-    return extend(0)
-
-
-def _signs_consistent(G1, G2, n1, n2, perm, ctx) -> bool:
-    """Check a sign vector sigma exists with sigma_i sigma_j matching the
-    sign discrepancies; two-coloring of the nonzero-Gram graph."""
-    m = len(perm)
-    color = [0] * m  # 0 unknown, +1 / -1 assigned
-    for start in range(m):
-        if color[start]:
-            continue
-        color[start] = 1
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(m):
-                if j == i:
-                    continue
-                s1, _ = _norm_entry(G1, n1, i, j, ctx)
-                s2, _ = _norm_entry(G2, n2, perm[i], perm[j], ctx)
-                if s1 == 0:
-                    continue
-                need = s1 * s2  # required sigma_i * sigma_j
-                if color[j] == 0:
-                    color[j] = color[i] * need
-                    stack.append(j)
-                elif color[i] * color[j] != need:
-                    return False
-    return True

@@ -31,15 +31,20 @@ and per row only lambda >= 0, all on integer numerators.  They come from:
   orthant.  eps is the largest power of two <= 1/2 with eps g_j <= g_i
   entrywise.  A refusal names the recession direction of the failing LP.
 
-Any eps > 0 keeps the padded system Positive: the family spans Sym(n) with
-the identity inside its cone.
+Any eps > 0 keeps the padded system Positive, and its weighting comes in
+closed form, with no LP: the family's rows at equal weights resolve a
+multiple of I, and on a triangular basis of the family they also resolve
+M = sum_P a_i a_i^T, so P's rows at a small power of two delta and the
+family at 1/c less delta times M's coefficients resolve I with every
+weight > 0 (``_padded_weighting``).  ``lp.verify_outcome`` re-checks that
+weighting exactly on the padded system before an embedding is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import sqrt
+from math import inf, sqrt
 
 from .context import Context
 from .errors import (
@@ -135,10 +140,11 @@ def verify_embedding(E: Embedding, sample_points=()) -> bool:
 # padding with auxiliary halfspaces
 
 
-def _pad_and_embed(P: Polyhedron, aux_rows, generators, y=None) -> Embedding:
-    """P's rows, then every auxiliary row sigma v, given as (v, sigma) in the
-    form of ``_primitive_rows``, whose line is new, each pushed strictly
-    below P by its multiplier.
+def _pad_and_embed(P: Polyhedron, eps, generators, y=None) -> Embedding:
+    """P's rows, then every row sigma v of ``_shear_family(n, eps)``, in the
+    form (v, sigma) of ``_primitive_rows``, whose line is new, each pushed
+    strictly below P by its multiplier; weighted by ``_padded_weighting``
+    and re-checked by ``lp.verify_outcome``, or BrokenInvariant.
 
     ``generators`` are g_1..g_n with A^T g_k = e_k (None where
     ``solve_columns`` found e_k out of reach), and on bounded inputs y > 0
@@ -150,15 +156,21 @@ def _pad_and_embed(P: Polyhedron, aux_rows, generators, y=None) -> Embedding:
     checked per row, on the same numerators.  Then u.x = lambda.(A x) >=
     lambda.b on P (weak duality), so u.x >= lambda.b - 1 is strictly slack;
     lambda.b is read off the products g_k.b and y.b, taken once.  One scalar
-    is built per row, its offset.  Lines and the padded system read the
-    rows (v_i, sigma_i).
+    is built per row, its offset.  A family row whose line P or an earlier
+    family row already carries is dropped, and its weight goes to that
+    carrier.
     """
-    ctx = P.ctx
-    seen, split = {_tol_key(_needle(v, ctx), ctx) for v, _ in P.primitive_rows}, []
-    for v, s in aux_rows:
-        if (key := _tol_key(_needle(v, ctx), ctx)) not in seen:
-            seen.add(key)
+    ctx, m = P.ctx, P.nfacets
+    family = _shear_family(P.dim, eps, ctx)
+    # row_of_line: each line to the padded row that carries it
+    row_of_line, split, carriers = {}, [], []
+    for i, (v, _) in enumerate(P.primitive_rows):
+        row_of_line.setdefault(_tol_key(_needle(v, ctx), ctx), i)
+    for v, s in family:
+        r = row_of_line.setdefault(_tol_key(_needle(v, ctx), ctx), m + len(split))
+        if r == m + len(split):
             split.append((v, s))
+        carriers.append(r)
     added = [[s * x for x in v] for v, s in split]
     if None in generators:  # solve_columns found A^T g = e_k inconsistent
         k = generators.index(None)
@@ -198,13 +210,67 @@ def _pad_and_embed(P: Polyhedron, aux_rows, generators, y=None) -> Embedding:
         offsets.append(_ratio(lam_b - scale, scale, ctx))
     ext_rows = [list(r) for r in P.A.data] + added
     ext_b = list(P.b) + offsets
-    system = system_from_primitive(P.primitive_rows + tuple(split), ctx)
-    outcome = lp.decide_positive(system)
-    if not outcome.is_positive:
+    padded = P.primitive_rows + tuple(split)
+    system = system_from_primitive(padded, ctx)
+    t = _padded_weighting(P, eps, family, padded, carriers, system)
+    outcome = lp.PositivityOutcome(lp.Verdict.POSITIVE, ctx.backend, witness_t=t)
+    if not lp.verify_outcome(system, outcome):
         raise BrokenInvariant("realize: the padded system lost its positive weighting")
-    return Embedding(
-        P.dim, len(ext_rows), outcome.witness_t, Mat.from_rows(ext_rows, ctx), tuple(ext_b)
-    )
+    return Embedding(P.dim, len(ext_rows), t, Mat.from_rows(ext_rows, ctx), tuple(ext_b))
+
+
+def _padded_weighting(P: Polyhedron, eps, family, padded, carriers, system) -> tuple:
+    """t > 0 with sum_r t_r a_r a_r^T = I over the padded rows, in closed form.
+
+    The rows a_f of ``_shear_family(n, eps)`` resolve c I, c = 1 + 2(n - 1)
+    (1 + eps^2): the four shear rows of a pair {p, q} sum to 2 (1 + eps^2)
+    (E_pp + E_qq).  M = sum_P a_i a_i^T is sum_F s_f a_f a_f^T on the
+    triangular basis e_p + eps e_q (p < q), e_i: s_pq = M_pq / eps,
+    s_i = M_ii - sum_{q > i} s_iq - eps^2 sum_{p < i} s_pi, and s_f = 0 on
+    the other rows.  With delta the largest power of two that has
+    2 delta c max(s) <= 1, P's rows get delta and family row f gets
+    1/c - delta s_f >= 1/(2c), so the weights resolve I.  ``carriers[f]``
+    is the padded row r that carries row f's line; when r is not f itself,
+    f's weight goes to r times |a_f|^2 / |a_r|^2 (sigma_f^2 / sigma_r^2 on
+    primitive rows).
+
+    Exact, all in integers: sigma_i^2 = omega_i / D for P's rows, E = 1/eps,
+    C = c E^2, S_f = D E s_f and delta = 2^e; every weight not folded is an
+    integer over C D E 2^max(-e, 0).  M's entries are read off W's rows.
+    """
+    ctx, n, m = P.ctx, P.dim, P.nfacets
+    (omega,), D = _numerators([[s * s for _, s in P.primitive_rows]], ctx)
+    N = {pair: dot(row[:m], omega) for pair, row in zip(system.pairs, system.W.data)}
+    E = eps.denominator if ctx.is_exact else 1 / eps
+    E2 = E * E
+    C = E2 + 2 * (n - 1) * (E2 + 1)
+    pairs = list(combinations(range(n), 2))
+    S = [E2 * N[p, q] if sign > 0 and p < q else 0
+         for sign in (-1, 1) for i, j in pairs for p, q in ((i, j), (j, i))]
+    S += [E * N[i, i] - E2 * sum(N[i, q] for q in range(i + 1, n))
+          - sum(N[p, i] for p in range(i)) for i in range(n)]
+    # 2 delta c max(s) <= 1 reads x delta <= y; exact x > 0 as trace M > 0
+    x, y = 2 * C * max(S), D * E2 * E
+    if not (0 < x < inf and y < inf):  # float under- or overflow
+        raise BrokenInvariant("realize: the padded system lost its positive weighting")
+
+    def fits(e):
+        return x * (1 << e) <= y if e >= 0 else x <= y * (1 << -e)
+
+    e = 0
+    while fits(e + 1):
+        e += 1
+    while not fits(e):
+        e -= 1
+    delta_num, delta_den = (1 << e, 1) if e >= 0 else (1, 1 << -e)
+    num = [C * D * E * delta_num] * m + [0] * (len(padded) - m)
+    for (v, sigma), r, s_f in zip(family, carriers, S):
+        w = D * E2 * E * delta_den - C * s_f * delta_num
+        if padded[r] != (v, sigma):
+            u, tau = padded[r]
+            w = w * (sigma * sigma * dot(v, v)) / (tau * tau * dot(u, u))
+        num[r] += w
+    return tuple(_ratio(w, C * D * E * delta_den, ctx) for w in num)
 
 
 def orthant_embedding(P: Polyhedron) -> Embedding | None:
@@ -271,7 +337,7 @@ def _realize(P: Polyhedron, bounded_only: bool) -> Embedding:
         eps = ctx.one() / 2
         while ratio < eps:
             eps /= 2
-    return _pad_and_embed(P, _shear_family(P.dim, eps, ctx), generators, y)
+    return _pad_and_embed(P, eps, generators, y)
 
 
 def realize_polytope(P: Polyhedron) -> Embedding:

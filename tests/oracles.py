@@ -1,7 +1,7 @@
 """Independent reference implementations used only to cross-check the package.
 
 Everything here is deliberately self-contained (fractions, itertools and
-math.isqrt only), so agreement with the library is a genuine two-route
+math only), so agreement with the library is a genuine two-route
 check: plain rational row reduction for ranks, solutions and kernels,
 fraction-free Gauss-Jordan (Bareiss) for the pivots, row sizes and final
 pivot that the exact elimination must not exceed, the split tree of a positive weighting for basic decompositions, the
@@ -12,12 +12,14 @@ hedgehog, the weighting matrix Q and the re-check of a positivity
 outcome by their Fraction definitions, and Fourier-Motzkin
 elimination for three questions: does Q t = c have a strictly positive
 solution (after Gaussian substitution), does A x > b have a solution, and
-what is the minimum of f.x over A x >= b.
+what is the minimum of f.x over A x >= b.  Hedgehogs are built from raw
+directions here too, and their congruence is decided by brute force on
+normalized Gram data, the package itself needing neither.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 
 def _rref(a, ncols):
@@ -389,3 +391,155 @@ def canonical_rows(needles):
             return scaled, k
         k <<= 1
     raise AssertionError("no scale certified the canonical rows")
+
+
+# ---------------------------------------------------------------------------
+# hedgehogs by definition: needle sets, and congruence by Gram data
+
+NEEDLE_GUARD = 9
+
+
+class Needles:
+    """A hedgehog as the helpers below read one (the package's Hedgehog has
+    the same fields): dim, the needle tuple, its count, and the backend ctx,
+    of which only ``is_exact`` and ``tol`` are read."""
+
+    def __init__(self, dim, needles, ctx):
+        self.dim, self.needles, self.ctx = dim, tuple(needles), ctx
+
+    @property
+    def count(self):
+        return len(self.needles)
+
+
+def _sign(x, ctx):
+    """-1, 0 or +1; float magnitudes at or below ctx.tol count as zero."""
+    if not ctx.is_exact and abs(x) <= ctx.tol:
+        return 0
+    return (x > 0) - (x < 0)
+
+
+def _needle(v, ctx):
+    """Exact: the primitive integer multiple of v; float: v over its length;
+    either way with its last nonzero entry > 0."""
+    if ctx.is_exact:
+        v = [Fraction(x) for x in v]
+        den = lcm(*(x.denominator for x in v))
+        ints = [int(x * den) for x in v]
+        g = gcd(*ints)
+        v = [x // g for x in ints]
+    else:
+        v = [float(x) for x in v]
+        norm = sum(x * x for x in v) ** 0.5
+        v = [x / norm for x in v]
+    last = next(_sign(x, ctx) for x in reversed(v) if _sign(x, ctx))
+    return tuple(last * x for x in v)
+
+
+def from_needles(directions, dim, ctx):
+    """Needles of raw directions in the caller's frame and order, later
+    duplicates modulo sign dropped (float: |u.w| within tol of 1)."""
+    out = []
+    for v in (_needle(d, ctx) for d in directions):
+        if ctx.is_exact and v not in out or not ctx.is_exact and all(
+            abs(abs(_dot(v, w)) - 1.0) > ctx.tol for w in out
+        ):
+            out.append(v)
+    return Needles(dim, out, ctx)
+
+
+def union(h1, h2):
+    """The needles of both, in order; both must share dimension and backend."""
+    if h1.dim != h2.dim or h1.ctx.is_exact != h2.ctx.is_exact:
+        raise ValueError("union needs a common ambient dimension and backend")
+    return from_needles(h1.needles + h2.needles, h1.dim, h1.ctx)
+
+
+def _norm_entry(G, norms, i, j, ctx):
+    """(sign, squared normalized value) of a Gram entry: G_ij^2 / (G_ii G_jj)."""
+    g = G[i][j]
+    if ctx.is_exact:
+        return _sign(g, ctx), Fraction(g * g, norms[i] * norms[j])
+    return _sign(g, ctx), float(g * g / (norms[i] * norms[j]))
+
+
+def _abs_close(a, b, ctx):
+    return a == b if ctx.is_exact else abs(a - b) <= 4 * ctx.tol
+
+
+def equal(h1, h2):
+    """Same hedgehog up to relabeling, sign flips and a rigid motion.
+
+    Configurations of needles are congruent exactly when their Gram
+    matrices match after a permutation and a diagonal sign change; the
+    search is brute force with multiset pruning, guarded to NEEDLE_GUARD
+    needles.
+    """
+    for h in (h1, h2):
+        if h.count > NEEDLE_GUARD:
+            raise ValueError(f"equality is guarded to <= {NEEDLE_GUARD} needles")
+    if h1.dim != h2.dim or h1.count != h2.count:
+        return False
+    ctx, m = h1.ctx, h1.count
+    G1 = [[_dot(u, v) for v in h1.needles] for u in h1.needles]
+    G2 = [[_dot(u, v) for v in h2.needles] for u in h2.needles]
+    n1 = [G1[i][i] for i in range(m)]
+    n2 = [G2[i][i] for i in range(m)]
+
+    def signature(G, norms, i):
+        return sorted(_norm_entry(G, norms, i, j, ctx)[1] for j in range(m) if j != i)
+
+    sig1 = [signature(G1, n1, i) for i in range(m)]
+    sig2 = [signature(G2, n2, i) for i in range(m)]
+    perm, used = [None] * m, [False] * m
+
+    def fits(i, k):
+        if used[k] or not all(_abs_close(x, y, ctx) for x, y in zip(sig1[i], sig2[k])):
+            return False
+        for j in range(i):
+            s1, v1 = _norm_entry(G1, n1, i, j, ctx)
+            s2, v2 = _norm_entry(G2, n2, k, perm[j], ctx)
+            if not _abs_close(v1, v2, ctx) or (s1 == 0) != (s2 == 0):
+                return False
+        return True
+
+    def extend(i):
+        if i == m:
+            return _signs_consistent(G1, G2, n1, n2, perm, ctx)
+        for k in range(m):
+            if fits(i, k):
+                perm[i], used[k] = k, True
+                if extend(i + 1):
+                    return True
+                perm[i], used[k] = None, False
+        return False
+
+    return extend(0)
+
+
+def _signs_consistent(G1, G2, n1, n2, perm, ctx):
+    """A sign vector sigma with sigma_i sigma_j matching the sign of every
+    nonzero Gram entry pair exists: a two-coloring of the nonzero-Gram graph."""
+    m = len(perm)
+    color = [0] * m  # 0 unknown, +1 / -1 assigned
+    for start in range(m):
+        if color[start]:
+            continue
+        color[start] = 1
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(m):
+                if j == i:
+                    continue
+                s1, _ = _norm_entry(G1, n1, i, j, ctx)
+                s2, _ = _norm_entry(G2, n2, perm[i], perm[j], ctx)
+                if s1 == 0:
+                    continue
+                need = s1 * s2  # required sigma_i * sigma_j
+                if color[j] == 0:
+                    color[j] = color[i] * need
+                    stack.append(j)
+                elif color[i] * color[j] != need:
+                    return False
+    return True

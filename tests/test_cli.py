@@ -548,9 +548,9 @@ def test_embed_and_realize_accept_the_empty_system(command, monkeypatch, capsys)
 STDOUT_DIGESTS = {
     "is-orthant": "4b4a79a7ea3be037765d76f9a8a1833d2c1af2968dd48761ab02c93d47366426",
     "rank": "03300ca9a9d2d12bf2b8b6c091e48ff582cf91ff5420c870bbf8305c55353bfe",
-    # re-recorded when the float guess moved to Dantzig pricing: endgo 5's
-    # Stiemke witness, and so its offsets, come from another optimal basis
-    "realize": "f0a90dfb599b478011661f6611f46627f1d4fb2fead1209ba0cf70e743497bed",
+    # re-recorded when the padded weighting t (and so scale_factors) came
+    # in closed form instead of from an LP; rows and offsets are unchanged
+    "realize": "bcd015c3eb3f86abf7e03d0ead4cad012f4db54102d5d42f769c1f914fec6c0e",
     "embed": "389fdde105672c76aa98f0bd889838cb66f8481d8df31baea0b6db4630b81231",
     "decompose": "10c5d2af7d130c0d121906ae0ab5d9d23487b5f2af73546da7ea0a775000952c",
     # recorded before the weighting system moved to integer columns
@@ -586,7 +586,8 @@ FLOAT_STDOUT_DIGESTS = {
     "is-orthant": "9601943257cafc44151fdc7f15a825faf33329aac4a317bc212dc017b8bc41ea",
     "rank": "01388e666455689e76d8bcaa46bf3ea3f04ef5208869272114fb5733ac7f54ed",
     "decompose": "afe1635e73963c9d2ab4e1a6ab872b575788633a3e1e9a959cabb20f8a965202",
-    "realize": "41f1103b80c4154e9f6eb57798a48d228ab2e5c339da25399b3f4da23735a111",
+    # re-recorded when the padded weighting t came in closed form
+    "realize": "87cf769969fc1620d6cf8bbd2ecc78bacf356c5c9c9071e1489dec0423a83370",
 }
 
 
@@ -661,10 +662,10 @@ def unbounded_digest_inputs():
 # recession direction of the refused multiplier LP; recorded before the
 # multiplier LPs read the primitive rows and realize checked them in integers
 UNBOUNDED_REALIZE_DIGESTS = {
-    # re-recorded when the float guess moved to Dantzig pricing: on six shear
-    # inputs the padded weighting t comes from another optimal basis
-    "exact": "b2f304ecbadfb22694684a9a36ff53bb334ee161e3ede4a3fdad45107e1efdb6",
-    "float": "60ffccad9c27e7ff79e0d77f89b49f1ccfdc3f15d62d9c5be8f195393a046828",
+    # both re-recorded when the padded weighting t came in closed form
+    # instead of from an LP; refusals, rows and offsets are unchanged
+    "exact": "1cd91a70ce4b13ad1bc467e9b8c5f666ff94ce6aab4b657f5c88025f92e4b90d",
+    "float": "fdf7c2a34ba3d549afed3256d7dff86e61598b8bbb6217bc010c1965bd91b8e7",
 }
 
 
@@ -687,7 +688,8 @@ def test_unbounded_realize_matches_its_digest(backend, monkeypatch, capsys):
 # larger and sparser proof blocks than digest_inputs() reaches; recorded
 # before the exact elimination went forward-only on primitive rows
 SCALE_DIGESTS = {
-    "cube 16 realize": "7c627ed5fe4327d387e84505e13c65fac274c0be4a653da9f957a6a671f1e716",
+    # re-recorded when the padded weighting t came in closed form
+    "cube 16 realize": "bfb2a2d9e5570a89bc29da2db702fea4c43dc8d0124d9ae1d734eb27270a7b83",
     # re-recorded when the float guess moved to Dantzig pricing: the vertex
     # LPs reach other optimal vertices, so other subsets of the same union rank
     "endgo 8 decompose": "a4a3484614cc3556a29b6e47902202919127f65dc29daa77d0ad66440e6fc268",

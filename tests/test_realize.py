@@ -7,8 +7,9 @@ recession direction their message names, and every added row's multiplier,
 formed by linearity from the generators handed to _pad_and_embed, against
 Fourier-Motzkin minima and against the per-row route it replaced.  Row
 shuffles keep realize's success and target dimension.  The shear family at
-eps = 1 is checked line by line against generate_max_rank_orthant, and a
-guard pins realize's LP count."""
+eps = 1 is checked line by line against generate_max_rank_orthant, the
+closed-form padded weighting by plain Gram arithmetic (a moved weight is
+refused), and a guard pins realize's LP count."""
 
 import random
 import re
@@ -346,14 +347,14 @@ def multiplier_inputs():
 
 
 def spy_generators(monkeypatch):
-    """Record the generators and kernel vector that each realization hands
-    to _pad_and_embed."""
+    """Record the eps, generators and kernel vector that each realization
+    hands to _pad_and_embed."""
     calls = []
     pad = realize._pad_and_embed
 
-    def spy(P, aux, generators, y=None):
-        calls.append((generators, y))
-        return pad(P, aux, generators, y)
+    def spy(P, eps, generators, y=None):
+        calls.append((eps, generators, y))
+        return pad(P, eps, generators, y)
 
     monkeypatch.setattr(realize, "_pad_and_embed", spy)
     return calls
@@ -389,7 +390,7 @@ def test_multiplier_offsets(ctx, monkeypatch):
         E = realize_unbounded(P)
         bounded = boundedness(P).is_positive
         unbounded += not bounded
-        generators, y = calls[-1]
+        _, generators, y = calls[-1]
         assert len(generators) == P.dim and (y is not None) == bounded
         for k, g in enumerate(generators):
             assert all(zero(dot(col, g) - (j == k)) for j, col in enumerate(zip(*P.A.data)))
@@ -460,12 +461,12 @@ def test_a_multiplier_that_fails_its_check_is_refused(ctx, monkeypatch):
 
     for exact_P in (generate_cube(2), shear(3)):
         E = realize_unbounded(exact_P)
-        generators, y = calls[-1]
+        _, generators, y = calls[-1]
         P = exact_P if exact else as_float(exact_P)
         if not exact:
             E = realize_unbounded(P)
-        aux = _primitive_rows([E.A_ext.row(i) for i in range(P.nfacets, E.target_dim)], ctx)
-        assert realize._pad_and_embed(P, aux, *calls[-1]) == E
+        eps = calls[-1][0]
+        assert realize._pad_and_embed(P, *calls[-1]) == E
         shifted = [list(g) for g in generators]
         shifted[0][0] += 1
         broken = [(shifted, y)]
@@ -489,7 +490,7 @@ def test_a_multiplier_that_fails_its_check_is_refused(ctx, monkeypatch):
             broken.append((along, y))
         for gens, kernel in broken:
             with pytest.raises(BrokenInvariant, match="multiplier"):
-                realize._pad_and_embed(P, aux, [on_ctx(g) for g in gens], on_ctx(kernel))
+                realize._pad_and_embed(P, eps, [on_ctx(g) for g in gens], on_ctx(kernel))
 
 
 # ---------------------------------------------------------------------------
@@ -521,15 +522,93 @@ def test_row_shuffles_keep_success_and_target_dim():
 
 
 # ---------------------------------------------------------------------------
+# the closed-form weighting of the padded system, by plain Gram arithmetic
+
+
+def weighting_inputs():
+    """The gen families for n = 1..5 with a Cayley rotation of each, shear
+    cones (padded at eps < 1), and 1-D polytopes and rays."""
+    rng = random.Random(2039)
+    inputs = []
+    for family in sorted(FAMILIES):
+        for n in range(1, 6):
+            P = FAMILIES[family](n)
+            inputs += [P, rotated(P, rational_rotation(rng, n))]
+    inputs += [shear(n) for n in (2, 3, 4)]
+    inputs += [Polyhedron.from_rows(rows, offsets, EXACT) for rows, offsets in
+               (([[2], [-3]], [1, -5]), ([[1]], [0]), ([[3], [1]], [-1, 2]))]
+    return inputs
+
+
+def resolves_identity(E, ctx):
+    """t > 0 and sum_r t_r a_r a_r^T = I, summed entry by entry here."""
+    n, rows = E.source_dim, E.A_ext.data
+    for p in range(n):
+        for q in range(p, n):
+            acc = sum(t * a[p] * a[q] for t, a in zip(E.t, rows))
+            if not (acc == (p == q) if ctx is EXACT else abs(acc - (p == q)) <= 1e-9):
+                return False
+    return len(E.t) == len(rows) and all(t > 0 for t in E.t)
+
+
+@pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
+def test_padded_weighting_resolves_the_identity(ctx, monkeypatch):
+    """Every realization's t is positive and resolves I on the padded rows,
+    eps < 1 included, and cube's +-e_i rows carry the unit rows' lines, so
+    their weight folds onto P's rows there."""
+    calls = spy_generators(monkeypatch)
+    realized, sheared, folded = 0, 0, 0
+    for exact_P in weighting_inputs():
+        P = exact_P if ctx is EXACT else as_float(exact_P)
+        try:
+            E = realize_unbounded(P)
+        except RecessionNotStrictlyPositive:
+            continue
+        realized += 1
+        sheared += calls[-1][0] < 1
+        folded += E.target_dim < P.nfacets + P.dim * P.dim
+        assert resolves_identity(E, ctx), exact_P
+    assert realized >= 30 and sheared >= 6 and folded >= 5
+
+
+@pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize("P", [generate_cube(3), shear(3)], ids=["cube", "shear"])
+def test_a_moved_weight_is_refused(P, ctx, monkeypatch):
+    """Half of the last padded row's weight moved onto the first row keeps
+    t > 0 but breaks the Gram identity, and the exact re-check refuses it."""
+    P = P if ctx is EXACT else as_float(P)
+    weighting = realize._padded_weighting
+
+    def moved(*args):
+        t = list(weighting(*args))
+        t[0], t[-1] = t[0] + t[-1] / 2, t[-1] / 2
+        return tuple(t)
+
+    realize_unbounded(P)
+    monkeypatch.setattr(realize, "_padded_weighting", moved)
+    with pytest.raises(BrokenInvariant, match="positive weighting"):
+        realize_unbounded(P)
+
+
+def test_a_float_weighting_out_of_range_is_refused():
+    # the square of side 1e-200 in rows of size 1e200: M's entries overflow
+    P = Polyhedron.from_rows([[1e200, 0], [0, 1e200], [-1e200, 0], [0, -1e200]],
+                             [0, 0, -1, -1], FLOAT)
+    with pytest.raises(BrokenInvariant, match="positive weighting"):
+        realize_unbounded(P)
+
+
+# ---------------------------------------------------------------------------
 # the LP budget of realize_unbounded
 
 
 @pytest.mark.parametrize("family, n", [(f, n) for f in ("shear", "endgo", "cube", "cross")
-                                       for n in (2, 3, 4)])
+                                       for n in (2, 3, 4)] + [("cube", 16), ("endgo", 8)])
 def test_realize_lp_count(family, n, monkeypatch):
-    """Boundedness, n Farkas LPs when unbounded, and the padded system:
-    n + 2 LPs on unbounded inputs and 2 on bounded ones, and no
-    functional_min LP."""
+    """Boundedness, then n Farkas LPs when unbounded; the padded weighting
+    is built in closed form and no functional_min LP runs: 1 LP on bounded
+    inputs and n + 1 on unbounded ones, at scale too (cube 16 is bounded,
+    endgo 8 is not)."""
     P = shear(n) if family == "shear" else FAMILIES[family](n)
     calls = []
     simplex = lp.simplex_standard
@@ -544,5 +623,8 @@ def test_realize_lp_count(family, n, monkeypatch):
     monkeypatch.setattr(lp, "simplex_standard", counted)
     monkeypatch.setattr(polyhedra, "_functional_min_rows", refused)
     E = realize_unbounded(P)
-    assert len(calls) == (2 if family in ("cube", "cross") else n + 2)
-    check_realization(P, E)
+    assert len(calls) == (1 if family in ("cube", "cross") else n + 1)
+    if n <= 4:
+        check_realization(P, E)
+    else:  # Fourier-Motzkin minima are out of reach here; the Gram identity is not
+        assert verify_embedding(E)
