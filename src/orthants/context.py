@@ -68,11 +68,18 @@ class Context:
         return float(value)
 
     def parse(self, text: str) -> Scalar:
-        """Parse a scalar string: 'p' or 'p/q' exactly, decimal notation for floats."""
+        """Parse a scalar string: 'p' or 'p/q' exactly, decimal notation for floats.
+
+        An integer literal is read by ``int``, to the value the Fraction
+        grammar gives it; every other literal goes through Fraction."""
         if not isinstance(text, str):
             raise ParseError(f"scalar must be a string, not {text!r}")
         text = text.strip()
         try:
+            try:  # float(p) is correctly rounded, as float(Fraction(p)) is
+                return Fraction(int(text)) if self.is_exact else float(int(text))
+            except ValueError:
+                pass
             # Fraction would expand 10**exponent in full before any check
             _, e, exponent = text.lower().partition("e")
             if e and abs(int(exponent)) > _MAX_EXPONENT:

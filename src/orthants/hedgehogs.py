@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import isqrt
+from operator import mul
 
 from .context import Context
 from .errors import BrokenInvariant, DegeneratePolyhedron
@@ -112,21 +114,26 @@ def canonical_polyhedron(h: Hedgehog) -> Polyhedron:
     """The representative system of a hedgehog: its needles with offsets -1.
 
     Exact needles are primitive integer vectors v_i with integer Gram
-    matrix G.  They are kept unscaled when the integer test
-    G_ij s_i < G_ii s_j holds with every s_i = 1; otherwise row i is
-    v_i k / s_i for the scales of ``_near_unit_scales``.  Either way the
-    polyhedron keeps its rows as (v_i, k / s_i), so none is taken apart
-    again.  Float needles are unit vectors, tangent to the unit sphere.
+    matrix G, formed once per unordered pair.  They are kept unscaled when
+    the integer test G_ij s_i < G_ii s_j holds with every s_i = 1;
+    otherwise row i is v_i k / s_i for the scales of ``_near_unit_scales``,
+    one Fraction per entry.  Either way the polyhedron keeps its rows as
+    (v_i, k / s_i), so none is taken apart again.  Float needles are unit
+    vectors, tangent to the unit sphere.
     """
-    ctx = h.ctx
-    scales = [ctx.one()] * h.count
+    ctx, needles, m = h.ctx, h.needles, h.count
+    scales, rows = [ctx.one()] * m, needles
     if ctx.is_exact:
-        G = [[dot(u, v) for v in h.needles] for u in h.needles]
-        if not _tangent_minimal(G, [1] * h.count):
+        G = [[0] * m for _ in range(m)]
+        for (i, u), (j, v) in combinations_with_replacement(enumerate(needles), 2):
+            G[i][j] = G[j][i] = sum(map(mul, u, v))
+        if _tangent_minimal(G, [1] * m):
+            rows = [tuple(map(Fraction, v)) for v in needles]
+        else:
             k, s = _near_unit_scales(G)
             scales = [Fraction(k, si) for si in s]
-    rows = [v if f == 1 else [x * f for x in v] for v, f in zip(h.needles, scales)]
-    return Polyhedron.from_rows(rows, [-ctx.one()] * h.count, ctx, zip(h.needles, scales))
+            rows = [tuple(Fraction(x * k, si) for x in v) for v, si in zip(needles, s)]
+    return Polyhedron.from_rows(rows, [-ctx.one()] * m, ctx, zip(needles, scales))
 
 
 def reduce(P: Polyhedron):

@@ -535,15 +535,20 @@ def verify_outcome(system, outcome: PositivityOutcome) -> bool:
 
     The checks run on W: with t_j s_j = U_j / D (s the scales) and c = C / g
     over integers, Q t = c exactly when g W U = C D; as s_j > 0, y.Q_j has
-    the sign of y.W_j, which scaling y to integers keeps.
-    """
+    the sign of y.W_j, which scaling y to integers keeps.  Exact U_j are
+    numerator products over D, the lcm of the denominator products."""
     W, ctx = system.W, system.W.ctx
     (C,), g = _numerators([system.c], ctx)
     if outcome.verdict == Verdict.POSITIVE:
         t = outcome.witness_t
         if t is None or len(t) != W.cols or any(ctx.sign(v) <= 0 for v in t):
             return False
-        (U,), D = _numerators([[v * s for v, s in zip(t, system.scales)]], ctx)
+        if ctx.is_exact:
+            d = [v.denominator * s.denominator for v, s in zip(t, system.scales)]
+            D = lcm(*d)
+            U = [v.numerator * s.numerator * (D // dj) for v, s, dj in zip(t, system.scales, d)]
+        else:
+            U, D = [v * s for v, s in zip(t, system.scales)], 1
         return all(ctx.is_zero(g * dot(row, U) - ci * D) for row, ci in zip(W.data, C))
     y = outcome.certificate_y
     if y is None or len(y) != W.rows:

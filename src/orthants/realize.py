@@ -189,8 +189,9 @@ def _pad_and_embed(P: Polyhedron, eps, generators, y=None) -> Embedding:
     (b,), b_den = _numerators([P.b], ctx)
     products = [dot(v, b) for v in vectors]
     offsets = []
-    for u in added:
-        (coeffs,), q = _numerators([u], ctx)
+    for v, sigma in split:  # row sigma v = coeffs / q
+        p, q = (sigma.numerator, sigma.denominator) if ctx.is_exact else (sigma, 1)
+        coeffs = [p * x for x in v]
         lam, lam_b = [0] * P.nfacets, 0
         for k, c in enumerate(coeffs):
             if c:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, sqrt
+from math import isfinite, isqrt, sqrt
 
 from .context import Context, EXACT, FLOAT, Scalar
 from .errors import NotOrthantError, NotRealizable, OutOfFloatRange, ShapeMismatch
@@ -56,6 +56,8 @@ class SimplexMetric:
         k = d2.rows
         if k != d2.cols or k < 2:
             raise ShapeMismatch("need a square matrix on at least two vertices")
+        if not ctx.is_exact and not all(isfinite(x) for row in d2.data for x in row):
+            raise OutOfFloatRange("squared distances: an entry exceeds float range")
         for i in range(k):
             if ctx.sign(d2.data[i][i]) != 0:
                 raise ShapeMismatch("diagonal of a distance matrix must be zero")
@@ -76,13 +78,15 @@ class SimplexMetric:
 
 def _positive_ldl(S: SimplexMetric):
     """(L, D) of the edge Gram matrix at vertex 0 when it has n positive
-    pivots, else None."""
+    pivots, else None; OutOfFloatRange when a float entry of it overflows."""
     ctx = S.ctx
     two = ctx.coerce(2)
     G = [
         [(S.entry(0, i) + S.entry(0, j) - S.entry(i, j)) / two for j in range(1, S.n + 1)]
         for i in range(1, S.n + 1)
     ]
+    if not ctx.is_exact and not all(isfinite(x) for row in G for x in row):
+        raise OutOfFloatRange("edge Gram matrix at vertex 0: an entry exceeds float range")
     factor = _ldl(G, ctx)
     return factor if factor is not None and len(factor[1]) == S.n else None
 

@@ -458,6 +458,24 @@ def test_failure_leaves_stdout_empty_and_writes_one_error_line(
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
 
 
+@pytest.mark.parametrize(
+    "argv, stdin, stage",
+    [
+        (["gen", "simplex", "2e200", "3e200", "5e200"], "", "squared distances"),
+        (["simplex", "-"],
+         json.dumps({"dim": 2, "d2": ["0" if i == j else "1e308" for i in range(3) for j in range(3)]}),
+         "edge Gram matrix at vertex 0"),
+    ],
+    ids=["gen-simplex-squares", "triangle-gram"],
+)
+def test_float_overflow_in_a_metric_names_float_range(argv, stdin, stage, monkeypatch, capsys):
+    # 2e200 squared and 1e308 + 1e308 are inf: the stage that overflowed is
+    # named, not a symmetry or realizability test that inf - inf failed
+    code, out, err = in_process_streams(monkeypatch, capsys, "--backend", "float", *argv, stdin=stdin)
+    assert code == 2 and out == ""
+    assert err == f"error: {stage}: an entry exceeds float range\n"
+
+
 def test_float_simplex_test_compares_squared_lengths_with_tol(monkeypatch, capsys):
     # a regular tetrahedron with squared edge 10^-4, and the simplex on four
     # intercepts of 0.01: their LDL^T pivots are near 10^-4, far above tol,

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from orthants import context
 from orthants.context import EXACT, FLOAT, Context, common_context
 from orthants.errors import BackendMismatch, OrthantsError, ParseError
 
@@ -97,3 +98,44 @@ class TestContext:
     def test_format_names_the_digit_limit(self):
         with pytest.raises(OrthantsError, match="4300 digits"):
             EXACT.format(Fraction(10**4300))
+
+    @pytest.mark.parametrize("text", [
+        "+5", "-0", "007", "1_000", " 12 ", "\u0661\u0662", str(2**1023 + 1),
+        str(2**1024 - 2**970 - 1), str(2**1024 - 2**970), str(-(2**1024 - 1)),
+    ])
+    def test_integer_literals_parse_as_the_fraction_grammar_reads_them(self, text):
+        x = EXACT.parse(text)
+        assert type(x) is Fraction and x == Fraction(text)
+        try:
+            expected = float(Fraction(text))
+        except OverflowError:  # 2^1024 - 2^970 is a tie, rounded up beyond float range
+            with pytest.raises(ParseError):
+                FLOAT.parse(text)
+        else:
+            assert type(FLOAT.parse(text)) is float and FLOAT.parse(text) == expected
+
+    def test_integer_literals_beyond_the_limits_are_refused(self):
+        for ctx in (EXACT, FLOAT):
+            with pytest.raises(ParseError):
+                ctx.parse("1" * 4301)  # Python's 4300-digit limit on int(str)
+        assert EXACT.parse("1" + "0" * 400) == 10**400
+        with pytest.raises(ParseError):
+            FLOAT.parse("1" + "0" * 400)
+
+    def test_only_non_integer_literals_take_the_fraction_route(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(context, "Fraction", spy)
+        for ctx in (EXACT, FLOAT):
+            for text, value in (("3/4", Fraction(3, 4)), ("2.5", Fraction(5, 2)), ("1e5", 10**5)):
+                calls.clear()
+                assert ctx.parse(text) == value and calls == [(text,)]
+            calls.clear()
+            with pytest.raises(ParseError):  # the exponent guard runs before Fraction
+                ctx.parse("1e4301")
+            assert calls == []
+            assert ctx.parse("+5") == 5 and calls == ([(5,)] if ctx.is_exact else [])

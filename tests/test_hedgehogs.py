@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,9 +18,18 @@ from orthants import (
 )
 from orthants.context import EXACT, FLOAT
 from orthants.errors import DegeneratePolyhedron
+from orthants.frames import system_from_primitive
 from orthants.hedgehogs import Hedgehog
-from orthants.matrix import dot
-from conftest import rand_frac, random_needles_2d, rational_rotation, rotated, shuffled
+from orthants.lp import verify_outcome
+from orthants.matrix import _primitive_rows, dot
+from conftest import (
+    rand_frac,
+    random_needles_2d,
+    rational_rotation,
+    rotated,
+    shuffled,
+    weighting_normal_sets,
+)
 from oracles import canonical_rows, equal, from_needles, rref_rank, union
 
 
@@ -164,6 +174,56 @@ class TestCanonicalRows:
             assert k >= 1 << 13
         k = same_rows_as_oracle(from_needles([(40, 1, 1), (41, 1, 1), (40, 1, 2)], 3, EXACT))
         assert k >= 1 << 13
+
+
+def seeded_hedgehogs():
+    """(name, hedgehog) of conftest's weighting normal sets (the gen families
+    for n = 1..6 among them), each also turned by a rational rotation."""
+    rng = random.Random(29)
+    out = []
+    for name, normals in weighting_normal_sets():
+        n = len(normals[0])
+        R = rational_rotation(rng, n)
+        out.append((name, from_needles(normals, n, EXACT)))
+        out.append((f"{name} rotated", from_needles([R.matvec(a) for a in normals], n, EXACT)))
+    return out
+
+
+class TestCanonicalScaling:
+    """canonical_polyhedron's integer pass against the Fraction definition,
+    and verify_outcome on its weighting systems against Q t == c."""
+
+    def test_rows_are_the_scaled_needles_and_their_primitive_rows(self):
+        scaled = 0
+        for name, h in seeded_hedgehogs():
+            rows, k = canonical_rows(h.needles)
+            sy = canonical_polyhedron(h)
+            assert list(sy.A.data) == rows, name
+            assert all(type(x) is Fraction for row in sy.A.data for x in row), name
+            assert sy.primitive_rows == _primitive_rows(sy.A.data, EXACT), name
+            for v, (w, sigma) in zip(h.needles, sy.primitive_rows):
+                s_i = 1 if k is None else math.isqrt(dot(v, v) * k * k)
+                assert w == v and sigma == Fraction(k or 1, s_i), name
+            scaled += k is not None
+        assert 200 < scaled < 400
+
+    def test_verify_outcome_agrees_with_q_t_equals_c(self):
+        positive = moved = 0
+        for name, h in seeded_hedgehogs():
+            system = system_from_primitive(canonical_polyhedron(h).primitive_rows, EXACT)
+            outcome = decide_positive(system)
+            if not outcome.is_positive:
+                continue
+            Q, c, t = system.Q, list(system.c), list(outcome.witness_t)
+            assert Q.matvec(t) == c and verify_outcome(system, outcome), name
+            positive += 1
+            for j in range(len(t)):
+                for x in (t[j] * Fraction(3, 2), t[j] + Fraction(1, 10**9)):
+                    u = tuple(t[:j] + [x] + t[j + 1:])
+                    expected = Q.matvec(u) == c
+                    assert verify_outcome(system, replace(outcome, witness_t=u)) == expected, name
+                    moved += not expected
+        assert positive > 200 and moved > 2000
 
 
 class TestEqual:
